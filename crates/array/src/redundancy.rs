@@ -18,6 +18,7 @@
 //! firmware ships.)
 
 use crate::organization::SubArrayDims;
+use fault_inject::injector::geometric_indices;
 use rand::Rng;
 use std::collections::HashMap;
 
@@ -80,7 +81,7 @@ pub fn simulate_repair<R: Rng + ?Sized>(
         "p_fail = {p_fail} is not a probability"
     );
     let cells = dims.rows * dims.cols;
-    let failures = sample_failure_cells(cells, p_fail, rng);
+    let failures = geometric_indices(cells, p_fail, rng);
     let coords: Vec<(usize, usize)> = failures
         .iter()
         .map(|&i| (i / dims.cols, i % dims.cols))
@@ -178,35 +179,6 @@ pub fn effective_failure_probability<R: Rng + ?Sized>(
 /// headline argument.
 pub fn expected_bad_rows(dims: SubArrayDims, p_fail: f64) -> f64 {
     dims.rows as f64 * (1.0 - (1.0 - p_fail).powi(dims.cols as i32))
-}
-
-/// Sparse sampling of failing cell indices: skip-ahead with geometric gaps,
-/// equivalent to `cells` independent Bernoulli draws.
-fn sample_failure_cells<R: Rng + ?Sized>(cells: usize, p: f64, rng: &mut R) -> Vec<usize> {
-    if p <= 0.0 {
-        return Vec::new();
-    }
-    if p >= 1.0 {
-        return (0..cells).collect();
-    }
-    let mut out = Vec::new();
-    let log_q = (1.0 - p).ln();
-    let mut i = 0usize;
-    loop {
-        // Geometric(p) gap: floor(ln(U) / ln(1-p)).
-        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let skip = (u.ln() / log_q).floor() as usize;
-        i = match i.checked_add(skip) {
-            Some(v) => v,
-            None => break,
-        };
-        if i >= cells {
-            break;
-        }
-        out.push(i);
-        i += 1;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -346,13 +318,22 @@ mod tests {
         let cells = 100_000;
         let p = 0.01;
         let n: usize = (0..20)
-            .map(|_| sample_failure_cells(cells, p, &mut r).len())
+            .map(|_| geometric_indices(cells, p, &mut r).len())
             .sum();
         let mean = n as f64 / 20.0;
         assert!(
             (mean - 1000.0).abs() < 100.0,
             "expected ≈1000 failures per map, got {mean}"
         );
+    }
+
+    #[test]
+    fn vanishing_probability_fails_no_cell() {
+        // Regression: 1 − 1e-18 rounds to 1.0, whose log is 0; a sampler
+        // dividing by it saturates every gap to 0 and fails every cell.
+        let out = simulate_repair(DIMS, 1e-18, RedundancyConfig::TYPICAL, &mut rng(9));
+        assert_eq!(out.total_failures, 0);
+        assert!(out.is_clean());
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Micro-benchmarks of the hot kernels under the experiments: device
 //! evaluation, scalar equilibria, noise margins, Monte Carlo, fault
-//! injection, and the MLP forward pass.
+//! injection, the MLP forward pass, and the NPE's MAC.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fault_inject::prelude::*;
 use neural::prelude::*;
+use neuro_system::npe::Npe;
 use sram_bitcell::prelude::*;
 use sram_device::prelude::*;
 use std::hint::black_box;
@@ -155,6 +156,20 @@ fn bench_forward_pass(c: &mut Criterion) {
     group.finish();
 }
 
+/// One neuron of the paper's 784-input digits layer on the NPE: weight
+/// codes × activation codes, bias, sigmoid LUT.
+fn bench_npe(c: &mut Criterion) {
+    let npe = Npe::new(FixedPointFormat::new(1, Encoding::TwosComplement));
+    let weights: Vec<u8> = (0..784u32).map(|i| (i * 37 + 11) as u8).collect();
+    let acts: Vec<u8> = (0..784u32).map(|i| (i * 101 + 3) as u8).collect();
+    let mut group = c.benchmark_group("npe");
+    group.throughput(Throughput::Elements(784));
+    group.bench_function("mac_784", |b| {
+        b.iter(|| black_box(npe.neuron(black_box(&weights), 5, black_box(&acts))))
+    });
+    group.finish();
+}
+
 criterion_group!(
     micro,
     bench_device,
@@ -162,6 +177,7 @@ criterion_group!(
     bench_monte_carlo,
     bench_rare_event,
     bench_injection,
-    bench_forward_pass
+    bench_forward_pass,
+    bench_npe
 );
 criterion_main!(micro);

@@ -50,7 +50,7 @@ impl InjectionStats {
 
 /// Yields the indices in `0..n` selected with independent probability `p`,
 /// via geometric gap sampling — O(expected flips), not O(n).
-pub fn geometric_indices(n: usize, p: f64, rng: &mut StdRng) -> Vec<usize> {
+pub fn geometric_indices<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Vec<usize> {
     assert!((0.0..=1.0).contains(&p) && p.is_finite(), "p = {p}");
     if p <= 0.0 || n == 0 {
         return Vec::new();

@@ -14,7 +14,7 @@
 //! ```text
 //! requests → admission queue → adaptive micro-batches → workers
 //!          → NeuromorphicSystem::classify_request(&self, …)
-//!          → SynapticMemory::read_shared(per-request RNG)
+//!          → ShardedMemory::read_row_shared(per-request RNG)
 //! ```
 //!
 //! **Determinism contract.** Request `id`'s randomness is

@@ -17,11 +17,82 @@ const LUT_SIZE: usize = 256;
 /// The LUT covers pre-activations in `[-LUT_RANGE, +LUT_RANGE)`.
 const LUT_RANGE: f32 = 8.0;
 
-/// Fused 8-lane multiply-accumulate over weight and activation codes.
-/// Integer addition is associative, so the lane restructure is
-/// bit-identical to a scalar left fold while letting the compiler keep
-/// eight independent accumulator chains in flight.
+/// Fan-in block whose `i32` sum cannot overflow: every product lies in
+/// `[-128 · 255, 127 · 255]`, so a block sums to at most
+/// `2^15 · 32 640 < 2^31` in magnitude.
+const MAC_BLOCK: usize = 1 << 15;
+
+/// Exact multiply-accumulate over weight and activation codes at any
+/// fan-in: blocks of at most [`MAC_BLOCK`] products are summed in `i32`
+/// lanes, and the block sums are added in `i64`.
+#[cfg(target_arch = "x86_64")]
 fn mac(weights: &[u8], activations: &[u8]) -> i64 {
+    weights
+        .chunks(MAC_BLOCK)
+        .zip(activations.chunks(MAC_BLOCK))
+        // SAFETY: SSE2 is part of the x86_64 baseline, so every x86_64
+        // CPU has the feature the kernel is compiled for.
+        .map(|(w, a)| i64::from(unsafe { block_mac_sse2(w, a) }))
+        .sum()
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn mac(weights: &[u8], activations: &[u8]) -> i64 {
+    lane_mac(weights, activations)
+}
+
+/// One block of the MAC, 16 products per step: each i8 × u8 pair is
+/// widened to i16 and `pmaddwd` adds adjacent products into i32 lanes.
+/// The caller keeps the block within [`MAC_BLOCK`], which bounds every
+/// partial sum. SSE2 is baseline on every x86_64 CPU, so no runtime
+/// detection is needed.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
+fn block_mac_sse2(weights: &[u8], activations: &[u8]) -> i32 {
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_cvtsi128_si32, _mm_loadu_si128, _mm_madd_epi16,
+        _mm_setzero_si128, _mm_shuffle_epi32, _mm_srai_epi16, _mm_unpackhi_epi8, _mm_unpacklo_epi8,
+    };
+    debug_assert!(weights.len() <= MAC_BLOCK);
+    let mut w_chunks = weights.chunks_exact(16);
+    let mut a_chunks = activations.chunks_exact(16);
+    let zero = _mm_setzero_si128();
+    let (mut lo_acc, mut hi_acc) = (zero, zero);
+    for (w, a) in (&mut w_chunks).zip(&mut a_chunks) {
+        // SAFETY: `chunks_exact(16)` yields exactly 16 readable bytes per
+        // chunk, and `loadu` has no alignment requirement.
+        let (w, a) = unsafe {
+            (
+                _mm_loadu_si128(w.as_ptr().cast::<__m128i>()),
+                _mm_loadu_si128(a.as_ptr().cast::<__m128i>()),
+            )
+        };
+        // Sign-extend weights: duplicate each byte into both halves of an
+        // i16, then shift the copy in the high half down arithmetically.
+        let w_lo = _mm_srai_epi16::<8>(_mm_unpacklo_epi8(w, w));
+        let w_hi = _mm_srai_epi16::<8>(_mm_unpackhi_epi8(w, w));
+        // Zero-extend activations.
+        let a_lo = _mm_unpacklo_epi8(a, zero);
+        let a_hi = _mm_unpackhi_epi8(a, zero);
+        lo_acc = _mm_add_epi32(lo_acc, _mm_madd_epi16(w_lo, a_lo));
+        hi_acc = _mm_add_epi32(hi_acc, _mm_madd_epi16(w_hi, a_hi));
+    }
+    let acc = _mm_add_epi32(lo_acc, hi_acc);
+    let acc = _mm_add_epi32(acc, _mm_shuffle_epi32::<0b01_00_11_10>(acc));
+    let acc = _mm_add_epi32(acc, _mm_shuffle_epi32::<0b10_11_00_01>(acc));
+    let mut sum = _mm_cvtsi128_si32(acc);
+    for (&w, &a) in w_chunks.remainder().iter().zip(a_chunks.remainder()) {
+        sum += i32::from(w as i8) * i32::from(a);
+    }
+    sum
+}
+
+/// Fused 8-lane `i64` multiply-accumulate: the portable MAC and the
+/// oracle the SIMD kernel is tested against. Integer addition is
+/// associative, so the lane restructure is bit-identical to a scalar left
+/// fold.
+#[cfg_attr(all(target_arch = "x86_64", not(test)), allow(dead_code))]
+fn lane_mac(weights: &[u8], activations: &[u8]) -> i64 {
     let mut lanes = [0i64; 8];
     let mut w_chunks = weights.chunks_exact(8);
     let mut a_chunks = activations.chunks_exact(8);
@@ -37,9 +108,24 @@ fn mac(weights: &[u8], activations: &[u8]) -> i64 {
     acc
 }
 
-/// Quantizes an activation in `[0, 1]` to its U0.8 code.
+/// Quantizes an activation in `[0, 1]` to its U0.8 code: `a · 255`
+/// rounded half away from zero; NaN and negatives map to 0, values above 1
+/// to 255.
+///
+/// Written without `round()` or a float-to-int cast so that a loop of
+/// calls vectorizes. Adding 2^23 (where the f32 ulp is 1) rounds
+/// `x ∈ [0, 255]` to the nearest integer, ties to even, and leaves that
+/// integer in the low mantissa bits; a tie rounded down is then bumped up.
+/// Every step is exact, and the result equals the `round()` reference on
+/// all 2^32 f32 inputs.
+#[inline]
 pub fn encode_activation(a: f32) -> u8 {
-    (a.clamp(0.0, 1.0) * 255.0).round() as u8
+    const SHIFT: f32 = 8_388_608.0;
+    // `max`/`min` send NaN to 0, where `clamp` would propagate it.
+    #[allow(clippy::manual_clamp)]
+    let x = a.max(0.0).min(1.0) * 255.0;
+    let biased = x + SHIFT;
+    biased.to_bits() as u8 + u8::from(x - (biased - SHIFT) == 0.5)
 }
 
 /// Decodes a U0.8 activation code.
@@ -85,8 +171,9 @@ impl Npe {
     /// Computes one neuron: MAC over weight codes and activation codes plus
     /// a bias code, then the sigmoid LUT.
     ///
-    /// The accumulator is `i64` — wide enough for the paper's largest layer
-    /// (1000 inputs × max |product| 2^15) with no overflow.
+    /// The MAC is exact at any fan-in: products are summed in `i32` lanes
+    /// in blocks of at most 32 768 (each block's magnitude stays below
+    /// 32 768 × 32 640 < 2^31), and the block sums in `i64`.
     ///
     /// # Panics
     ///
@@ -109,6 +196,9 @@ impl Npe {
 mod tests {
     use super::*;
     use neural::quant::Encoding;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn npe() -> Npe {
         Npe::new(FixedPointFormat::new(1, Encoding::TwosComplement))
@@ -188,7 +278,112 @@ mod tests {
                 .zip(&acts)
                 .map(|(&w, &a)| (w as i8) as i64 * a as i64)
                 .sum();
+            assert_eq!(lane_mac(&weights, &acts), scalar, "fan-in {len}");
             assert_eq!(mac(&weights, &acts), scalar, "fan-in {len}");
         }
+    }
+
+    #[test]
+    fn mac_is_exact_at_the_extreme_products_across_block_boundaries() {
+        // Every product at its extreme: one block of them sits just inside
+        // the i32 bound, two blocks do not.
+        for (w, a) in [(0x80u8, 0xFFu8), (0x7F, 0xFF)] {
+            for len in [
+                15,
+                16,
+                17,
+                MAC_BLOCK - 1,
+                MAC_BLOCK,
+                MAC_BLOCK + 1,
+                2 * MAC_BLOCK + 17,
+                70_000,
+            ] {
+                let weights = vec![w; len];
+                let acts = vec![a; len];
+                let want = len as i64 * i64::from(w as i8) * i64::from(a);
+                assert_eq!(mac(&weights, &acts), want, "w={w:#x} fan-in {len}");
+                assert_eq!(lane_mac(&weights, &acts), want, "w={w:#x} fan-in {len}");
+            }
+        }
+    }
+
+    proptest! {
+        /// The SIMD MAC equals the `i64` lane fold for every fan-in up to
+        /// past two i32 blocks, on random, all-extreme and mixed-extreme
+        /// bytes, from slices starting at any offset.
+        #[test]
+        fn mac_matches_lane_fold(
+            len in 0usize..=70_000,
+            fill in 0u8..3,
+            w_off in 0usize..16,
+            a_off in 0usize..16,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut byte = |extremes: [u8; 2]| match fill {
+                0 => rng.gen::<u8>(),
+                1 => extremes[0],
+                _ => extremes[usize::from(rng.gen::<bool>())],
+            };
+            let w_buf: Vec<u8> = (0..w_off + len).map(|_| byte([0x80, 0x7F])).collect();
+            let a_buf: Vec<u8> = (0..a_off + len).map(|_| byte([0xFF, 0x00])).collect();
+            let (w, a) = (&w_buf[w_off..], &a_buf[a_off..]);
+            prop_assert_eq!(mac(w, a), lane_mac(w, a), "fan-in {len}");
+        }
+    }
+
+    /// The `round()`-based encode the libm-free one must reproduce.
+    fn reference_encode(a: f32) -> u8 {
+        (a.clamp(0.0, 1.0) * 255.0).round() as u8
+    }
+
+    #[test]
+    fn encode_matches_round_around_every_code_boundary() {
+        for k in 0..255u16 {
+            let boundary = (f32::from(k) + 0.5) / 255.0;
+            let bits = boundary.to_bits();
+            for a in (bits - 64..=bits + 64).map(f32::from_bits) {
+                assert_eq!(encode_activation(a), reference_encode(a), "a={a:e} (k={k})");
+            }
+        }
+        let specials = [
+            0.0,
+            -0.0,
+            1.0,
+            f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::EPSILON,
+            1.0 - f32::EPSILON,
+            1.0 + f32::EPSILON,
+            -0.5,
+            -1.0,
+            1.5,
+            2.0,
+            1e30,
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7FC0_00FF),
+            f32::from_bits(0xFF80_0001),
+        ];
+        for a in specials {
+            assert_eq!(encode_activation(a), reference_encode(a), "a={a:e}");
+        }
+    }
+
+    /// Every f32 bit pattern; about 20 s in a release build:
+    /// `cargo test --release -p neuro_system -- --ignored`.
+    #[test]
+    #[ignore]
+    fn encode_matches_round_on_every_f32() {
+        let mismatches = (0..=u32::MAX)
+            .map(f32::from_bits)
+            .filter(|&a| encode_activation(a) != reference_encode(a))
+            .count();
+        assert_eq!(mismatches, 0);
     }
 }

@@ -103,6 +103,7 @@ const TRACKED: &[&str] = &[
     "scale/load_1shard",
     "scale/load_2shard",
     "scale/load_4shard",
+    "npe/mac_784",
     "infer/forward_row_path",
     "serve/throughput_1w",
     "serve/throughput_4w",
