@@ -354,6 +354,11 @@ fn main() {
         format_ns(load.service.p50_ns()),
         format_ns(load.service.p99_ns())
     );
+    println!(
+        "residual p50/p99   {} / {}",
+        format_ns(load.residual.p50_ns()),
+        format_ns(load.residual.p99_ns())
+    );
     println!("response digest    {:016x}", load.digest);
     println!("server digest      {:016x}", report.digest());
     println!(
@@ -399,6 +404,7 @@ fn main() {
              sojourn_p50_ns={}\nsojourn_p99_ns={}\n\
              queue_p50_ns={}\nqueue_p99_ns={}\n\
              service_p50_ns={}\nservice_p99_ns={}\n\
+             residual_p50_ns={}\nresidual_p99_ns={}\n\
              digest={:016x}\nserver_digest={:016x}\n\
              server_served={}\nserver_shed={}\nbad_frames={}\npings={}\n\
              conns_accepted={}\nconns_dropped={}\n\
@@ -421,6 +427,8 @@ fn main() {
             load.queue.p99_ns(),
             load.service.p50_ns(),
             load.service.p99_ns(),
+            load.residual.p50_ns(),
+            load.residual.p99_ns(),
             load.digest,
             report.digest(),
             report.served(),

@@ -2,8 +2,9 @@
 //!
 //! The ROADMAP's "millions of users" leg made concrete: a hand-rolled,
 //! std-only evented TCP front door over the hybrid 8T-6T synaptic store.
-//! No async runtime, no epoll crate — non-blocking sockets and a poll
-//! loop, the same no-external-deps discipline as the workspace shims.
+//! No async runtime, no epoll crate — non-blocking sockets and a
+//! `poll(2)` readiness loop, the same no-external-deps discipline as the
+//! workspace shims.
 //!
 //! Three layers:
 //!

@@ -89,6 +89,10 @@ pub struct LoadReport {
     pub queue: LatencyHistogram,
     /// Server-reported service times.
     pub service: LatencyHistogram,
+    /// Per-reply sojourn minus that reply's queue and service time
+    /// (saturating): what neither stage accounts for — socket and wake
+    /// hops, framing, and generator lateness.
+    pub residual: LatencyHistogram,
     /// Order-invariant digest over `(tenant, id, prediction, fault_bits)`
     /// of every `Ok` response; matches the server's digest when every
     /// request was served.
@@ -126,6 +130,9 @@ pub fn arrival_schedule_ns(rate: f64, requests: usize, seed: u64) -> Vec<u64> {
         })
         .collect()
 }
+
+/// Longest client sleep when a pass over the sockets moved nothing.
+const CLIENT_TICK: Duration = Duration::from_micros(50);
 
 struct ClientConn {
     stream: TcpStream,
@@ -179,6 +186,7 @@ pub fn run(
         sojourn: LatencyHistogram::new(),
         queue: LatencyHistogram::new(),
         service: LatencyHistogram::new(),
+        residual: LatencyHistogram::new(),
         digest: 0,
         fault_bits: 0,
         wall: Duration::ZERO,
@@ -275,9 +283,15 @@ pub fn run(
                             (Status::Ok, Some(reply)) if id < n => {
                                 report.ok += 1;
                                 let done_ns = start.elapsed().as_nanos() as u64;
-                                report.sojourn.record(done_ns.saturating_sub(arrivals[id]));
+                                let sojourn_ns = done_ns.saturating_sub(arrivals[id]);
+                                report.sojourn.record(sojourn_ns);
                                 report.queue.record(reply.queue_ns);
                                 report.service.record(reply.service_ns);
+                                report.residual.record(
+                                    sojourn_ns
+                                        .saturating_sub(reply.queue_ns)
+                                        .saturating_sub(reply.service_ns),
+                                );
                                 report.fault_bits += u64::from(reply.fault_bits);
                                 let tenant = streams[id % streams.len()].tenant;
                                 report.digest = report.digest.wrapping_add(response_mix(
@@ -309,7 +323,15 @@ pub fn run(
             break;
         }
         if !progressed {
-            std::thread::sleep(Duration::from_micros(50));
+            // Never nap past the next scheduled arrival: a late send would
+            // be charged to the server as sojourn.
+            let mut nap = CLIENT_TICK;
+            if let Some(&due) = arrivals.get(next) {
+                nap = nap.min(Duration::from_nanos(due.saturating_sub(now_ns)));
+            }
+            if !nap.is_zero() {
+                std::thread::sleep(nap);
+            }
         }
     }
     report.wall = start.elapsed();

@@ -1,5 +1,5 @@
-//! The evented TCP front door: non-blocking sockets, a poll loop, and
-//! SLO-aware admission over the worker pool.
+//! The evented TCP front door: non-blocking sockets, a readiness loop,
+//! and SLO-aware admission over the worker pool.
 //!
 //! # Architecture
 //!
@@ -9,15 +9,25 @@
 //!                  │   decode, shed/     Condvar,   ModelRegistry::classify
 //!                  │   degrade, write    bounded)   (&self, per-request ctx)
 //!                  │   buffers, timeouts)                          │
-//!                  ◀──────────── results channel (mpsc) ───────────┘
+//!                  ◀──────────── results channel (mpsc) ───────────┤
+//!                  ◀──────────── wake socket (1 byte) ─────────────┘
 //! ```
 //!
-//! One IO thread owns every socket (no epoll, no registry — the same
-//! hand-rolled discipline as the shims): it accepts, reads into
+//! One IO thread owns every socket: it accepts, reads into
 //! per-connection [`FrameDecoder`]s, makes the admission decision, drains
 //! worker results into per-connection write buffers, and enforces the
-//! timeouts. Workers never touch a socket; they pull jobs, classify on the
-//! shared registry, and send results back over an `mpsc` channel.
+//! timeouts. Workers never touch a client socket; they pull jobs, classify
+//! on the shared registry, send results back over an `mpsc` channel, and
+//! then write one byte to a wake socket.
+//!
+//! When a pass over the sockets moves nothing, the IO thread blocks in
+//! `poll(2)` (Linux) on the wake socket, the listener, every connection
+//! it still reads, and every connection with bytes left to write. It
+//! wakes as soon as a client sends, a socket drains, or a worker
+//! finishes, and at least once per housekeeping period to check the
+//! slow-loris, stuck-writer and stop deadlines. No registry and no epoll:
+//! the poll set is rebuilt from the connection slab on each wait. Other
+//! targets sleep a short fixed tick instead.
 //!
 //! # Admission
 //!
@@ -53,6 +63,11 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+#[cfg(target_os = "linux")]
+use std::os::fd::AsRawFd;
+#[cfg(target_os = "linux")]
+use std::os::unix::net::UnixStream;
 
 /// Serving-tier knobs.
 #[derive(Debug, Clone)]
@@ -99,8 +114,14 @@ impl Default for NetServerOptions {
 /// Hard ceiling on worker threads (same guard as the serve layer).
 const MAX_WORKERS: usize = 256;
 
-/// Poll-loop sleep when a tick moved no bytes; bounds idle CPU burn at
-/// the cost of ~a tenth of a millisecond of added latency.
+/// Longest idle wait: how often the slow-loris, stuck-writer and stop
+/// deadlines are checked when no socket or worker wakes the IO thread.
+#[cfg(target_os = "linux")]
+const HOUSEKEEPING: Duration = Duration::from_millis(10);
+
+/// Idle sleep where no readiness wait is available; bounds idle CPU burn
+/// at the cost of ~a tenth of a millisecond of added latency.
+#[cfg(not(target_os = "linux"))]
 const IDLE_TICK: Duration = Duration::from_micros(100);
 
 /// How long `stop()` waits for in-flight work and write buffers to drain
@@ -193,6 +214,7 @@ impl NetReport {
 pub struct RunningServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
+    waker: Waker,
     handle: Option<JoinHandle<NetReport>>,
 }
 
@@ -210,6 +232,7 @@ impl RunningServer {
     /// Propagates a server-thread panic.
     pub fn stop(mut self) -> NetReport {
         self.stop.store(true, Ordering::SeqCst);
+        self.waker.wake();
         self.handle
             .take()
             .expect("server already stopped")
@@ -222,7 +245,8 @@ impl RunningServer {
 ///
 /// # Errors
 ///
-/// Returns the bind error if the address is unavailable.
+/// Returns the bind error if the address is unavailable, or the error
+/// creating the IO thread's wake socket.
 pub fn spawn(
     registry: Arc<ModelRegistry>,
     options: NetServerOptions,
@@ -232,13 +256,16 @@ pub fn spawn(
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
     let stop_flag = Arc::clone(&stop);
+    let (waker, idle) = wake_pair()?;
+    let io_waker = waker.clone();
     let handle = std::thread::Builder::new()
         .name("sram-net-io".to_string())
-        .spawn(move || run_server(listener, &registry, &options, &stop_flag))
+        .spawn(move || run_server(listener, idle, &io_waker, &registry, &options, &stop_flag))
         .expect("spawn server thread");
     Ok(RunningServer {
         addr,
         stop,
+        waker,
         handle: Some(handle),
     })
 }
@@ -309,6 +336,142 @@ impl Conn {
     }
 }
 
+/// Write end of the IO thread's wake socket, shared by the workers and
+/// [`RunningServer::stop`].
+#[derive(Debug, Clone)]
+struct Waker {
+    #[cfg(target_os = "linux")]
+    tx: Arc<UnixStream>,
+}
+
+impl Waker {
+    /// Makes the IO thread's current or next idle wait return. There is
+    /// no "parked" flag to race: the byte stays in the socket until the IO
+    /// thread drains it after its wait.
+    fn wake(&self) {
+        // `WouldBlock` means a byte is already pending, which guarantees
+        // the wake; any other error leaves the housekeeping period as the
+        // bound.
+        #[cfg(target_os = "linux")]
+        let _ = (&*self.tx).write(&[1]);
+    }
+}
+
+/// The IO thread's idle wait: the wake socket's read end and a reused
+/// `pollfd` set.
+struct IdleWait {
+    #[cfg(target_os = "linux")]
+    rx: UnixStream,
+    #[cfg(target_os = "linux")]
+    fds: Vec<sys::PollFd>,
+}
+
+#[cfg(target_os = "linux")]
+fn wake_pair() -> std::io::Result<(Waker, IdleWait)> {
+    let (tx, rx) = UnixStream::pair()?;
+    tx.set_nonblocking(true)?;
+    rx.set_nonblocking(true)?;
+    Ok((
+        Waker { tx: Arc::new(tx) },
+        IdleWait {
+            rx,
+            fds: Vec::new(),
+        },
+    ))
+}
+
+#[cfg(not(target_os = "linux"))]
+fn wake_pair() -> std::io::Result<(Waker, IdleWait)> {
+    Ok((Waker {}, IdleWait {}))
+}
+
+impl IdleWait {
+    /// Blocks until a worker or [`RunningServer::stop`] wakes the loop,
+    /// the listener (if given) has a connection, a live connection has
+    /// bytes to read, a pending write buffer can drain, or the
+    /// housekeeping period passes.
+    #[cfg(target_os = "linux")]
+    fn wait(&mut self, listener: Option<&TcpListener>, conns: &[Option<Conn>]) {
+        self.fds.clear();
+        self.fds
+            .push(sys::PollFd::new(self.rx.as_raw_fd(), sys::POLLIN));
+        if let Some(listener) = listener {
+            self.fds
+                .push(sys::PollFd::new(listener.as_raw_fd(), sys::POLLIN));
+        }
+        for conn in conns.iter().flatten() {
+            // A peer-closed socket reads EOF forever; polling it would
+            // return at once and spin while its jobs are still in flight.
+            let mut events = 0;
+            if !conn.closing && !conn.peer_closed {
+                events |= sys::POLLIN;
+            }
+            if conn.pending_out() > 0 {
+                events |= sys::POLLOUT;
+            }
+            if events != 0 {
+                self.fds
+                    .push(sys::PollFd::new(conn.stream.as_raw_fd(), events));
+            }
+        }
+        sys::poll_fds(&mut self.fds, HOUSEKEEPING);
+        let mut sink = [0u8; 64];
+        while matches!(self.rx.read(&mut sink), Ok(n) if n > 0) {}
+    }
+
+    #[cfg(not(target_os = "linux"))]
+    fn wait(&mut self, _listener: Option<&TcpListener>, _conns: &[Option<Conn>]) {
+        std::thread::sleep(IDLE_TICK);
+    }
+}
+
+/// `poll(2)`, declared by hand: std already links libc, so no crate is
+/// needed for one call.
+#[cfg(target_os = "linux")]
+mod sys {
+    use std::ffi::{c_int, c_short, c_ulong};
+    use std::time::Duration;
+
+    pub(super) const POLLIN: c_short = 0x001;
+    pub(super) const POLLOUT: c_short = 0x004;
+
+    /// `struct pollfd`.
+    #[repr(C)]
+    pub(super) struct PollFd {
+        fd: c_int,
+        events: c_short,
+        revents: c_short,
+    }
+
+    impl PollFd {
+        pub(super) fn new(fd: c_int, events: c_short) -> Self {
+            Self {
+                fd,
+                events,
+                revents: 0,
+            }
+        }
+    }
+
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+    }
+
+    /// Waits until one of `fds` is ready or `timeout` passes. The result
+    /// is not needed: on readiness, timeout, or error (`EINTR`) alike the
+    /// caller scans every socket again and re-checks its deadlines.
+    pub(super) fn poll_fds(fds: &mut [PollFd], timeout: Duration) {
+        let timeout_ms = c_int::try_from(timeout.as_millis()).unwrap_or(c_int::MAX);
+        // SAFETY: `fds` is an exclusively borrowed slice of `#[repr(C)]`
+        // `struct pollfd` values, and `nfds` is its length, so the kernel
+        // reads and writes (`revents`) only inside it. Nothing is retained
+        // past the call.
+        unsafe {
+            poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms);
+        }
+    }
+}
+
 /// Per-tenant mutable serving state (IO-thread local).
 struct TenantState {
     report: TenantReport,
@@ -321,6 +484,8 @@ struct TenantState {
 
 fn run_server(
     listener: TcpListener,
+    mut idle: IdleWait,
+    waker: &Waker,
     registry: &Arc<ModelRegistry>,
     options: &NetServerOptions,
     stop: &AtomicBool,
@@ -374,9 +539,12 @@ fn run_server(
             let queue = Arc::clone(&queue);
             let done_tx = done_tx.clone();
             let registry = Arc::clone(registry);
+            let waker = waker.clone();
             std::thread::Builder::new()
                 .name(format!("sram-net-worker-{w}"))
-                .spawn_scoped(scope, move || worker_loop(&registry, &queue, &done_tx))
+                .spawn_scoped(scope, move || {
+                    worker_loop(&registry, &queue, &done_tx, &waker);
+                })
                 .expect("spawn worker");
         }
         drop(done_tx);
@@ -384,6 +552,9 @@ fn run_server(
         let mut read_buf = [0u8; 8192];
         loop {
             let mut progressed = false;
+            // A hard accept error (e.g. out of descriptors) leaves the
+            // listener readable: skip it in this wait rather than spin.
+            let mut accept_failed = false;
 
             // 1. Accept.
             if stop_seen.is_none() {
@@ -415,7 +586,10 @@ fn run_server(
                             }
                         }
                         Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                        Err(_) => break,
+                        Err(_) => {
+                            accept_failed = true;
+                            break;
+                        }
                     }
                 }
             }
@@ -587,7 +761,8 @@ fn run_server(
             }
 
             if !progressed {
-                std::thread::sleep(IDLE_TICK);
+                let accepting = stop_seen.is_none() && !accept_failed;
+                idle.wait(accepting.then_some(&listener), &conns);
             }
         }
 
@@ -699,6 +874,7 @@ fn worker_loop(
     registry: &ModelRegistry,
     queue: &Arc<(Mutex<JobQueue>, Condvar)>,
     done_tx: &mpsc::Sender<Done>,
+    waker: &Waker,
 ) {
     // One warm context per tenant; `classify` re-arms the RNG per request,
     // so reuse is invisible to the outputs.
@@ -739,5 +915,6 @@ fn worker_loop(
         {
             return;
         }
+        waker.wake();
     }
 }

@@ -1,6 +1,6 @@
 //! Protocol-robustness and end-to-end serving tests: hostile bytes,
-//! slow-loris clients, overload, and the cross-interleaving determinism
-//! contract — all over real sockets.
+//! slow-loris clients, stuck writers, lost wake-ups, overload, and the
+//! cross-interleaving determinism contract — all over real sockets.
 
 use fault_inject::model::BitErrorRates;
 use fault_inject::protection::ProtectionPolicy;
@@ -17,7 +17,7 @@ use sram_net::server::{self, NetServerOptions, RunningServer};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn tiny_spec(name: &str, shape: &[usize], seed: u64, read_6t: f64) -> TenantSpec {
     TenantSpec {
@@ -302,6 +302,85 @@ fn slow_loris_partial_frame_is_dropped_at_the_read_timeout() {
 }
 
 #[test]
+fn stuck_writer_is_dropped_while_other_connections_are_served() {
+    let server = spawn_tiny(NetServerOptions {
+        max_write_buffer: 4096,
+        ..NetServerOptions::default()
+    });
+    let stuck = connect(&server);
+    stuck
+        .set_write_timeout(Some(Duration::from_secs(20)))
+        .expect("write timeout");
+    // Pipelined tiny classify requests, 256 per write; answers (served or
+    // shed) pile up because this client never reads.
+    let batch: Vec<u8> = (0..256u64)
+        .flat_map(|i| classify_frame(0, i, vec![0.2; 12]))
+        .collect();
+    std::thread::scope(|scope| {
+        let flood = scope.spawn(|| {
+            let mut stuck = &stuck;
+            // Far more answers than loopback socket buffers hold; the
+            // server must drop the connection long before the last batch.
+            for _ in 0..4096 {
+                if let Err(e) = stuck.write_all(&batch) {
+                    return Some(e.kind());
+                }
+            }
+            None
+        });
+        // Meanwhile another connection is served normally.
+        let mut other = connect(&server);
+        other
+            .write_all(&classify_frame(1, 1, vec![0.4; 9]))
+            .unwrap();
+        assert_eq!(read_response(&mut other).status, Status::Ok);
+        let failed = flood.join().expect("flood thread");
+        assert!(
+            failed.is_some_and(|kind| kind != std::io::ErrorKind::WouldBlock
+                && kind != std::io::ErrorKind::TimedOut),
+            "stuck writer was never dropped (write outcome {failed:?})"
+        );
+    });
+    let report = server.stop();
+    assert_eq!(report.conns_dropped, 1, "only the stuck writer is dropped");
+}
+
+/// The server's housekeeping period: the longest an idle IO thread waits
+/// without a wake-up (`HOUSEKEEPING` in `server.rs`).
+const HOUSEKEEPING: Duration = Duration::from_millis(10);
+
+#[test]
+fn sequential_round_trips_and_stop_never_wait_out_an_idle_period() {
+    let server = spawn_tiny(NetServerOptions::default());
+    let mut stream = connect(&server);
+    let rounds = 1000u32;
+    let started = Instant::now();
+    for i in 0..rounds {
+        stream
+            .write_all(&classify_frame(0, u64::from(i), vec![0.6; 12]))
+            .unwrap();
+        assert_eq!(read_response(&mut stream).status, Status::Ok);
+    }
+    // Each round trip sleeps the IO thread twice (before the request and
+    // before the worker's result); a lost wake-up costs a whole period.
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < HOUSEKEEPING * rounds / 4,
+        "{rounds} round trips took {elapsed:?}"
+    );
+    // An idle server with an open, idle connection stops promptly.
+    let stopping = Instant::now();
+    let report = server.stop();
+    assert!(
+        stopping.elapsed() < Duration::from_secs(1),
+        "stop took {:?}",
+        stopping.elapsed()
+    );
+    assert_eq!(report.served(), u64::from(rounds));
+    drop(stream);
+}
+
+#[test]
 fn burst_overload_sheds_explicitly_and_recovers() {
     let server = spawn_tiny(NetServerOptions {
         workers: 1,
@@ -361,6 +440,9 @@ fn digests_are_identical_across_connection_and_worker_counts() {
         let report = server.stop();
         assert_eq!(load.ok, 128, "sub-saturation run must serve everything");
         assert_eq!(load.digest, report.digest());
+        // One residual per served reply, never more than its sojourn.
+        assert_eq!(load.residual.count(), load.ok);
+        assert!(load.residual.max_ns() <= load.sojourn.max_ns());
         (load.digest, load.fault_bits)
     };
     let a = run(1, 1);

@@ -1052,12 +1052,20 @@ fn net_report(args: &[String]) -> ExitCode {
         "net-report — {requests} open-loop requests over real sockets, 2 resident tenants\n\n"
     ));
     table.push_str(&format!(
-        "{:<12} {:>6} {:>6} {:>6} {:>5} {:>12} {:>12} {:>12}  digest\n",
-        "run", "sent", "ok", "shed", "err", "sojourn p50", "sojourn p99", "service p99"
+        "{:<12} {:>6} {:>6} {:>6} {:>5} {:>12} {:>12} {:>12} {:>12}  digest\n",
+        "run",
+        "sent",
+        "ok",
+        "shed",
+        "err",
+        "sojourn p50",
+        "sojourn p99",
+        "service p99",
+        "residual p50"
     ));
     for (run, kv) in &reports {
         table.push_str(&format!(
-            "{:<12} {:>6} {:>6} {:>6} {:>5} {:>12} {:>12} {:>12}  {}\n",
+            "{:<12} {:>6} {:>6} {:>6} {:>5} {:>12} {:>12} {:>12} {:>12}  {}\n",
             run.label,
             get_str(kv, "sent"),
             get_str(kv, "ok"),
@@ -1066,6 +1074,7 @@ fn net_report(args: &[String]) -> ExitCode {
             format_ns(get_f64(kv, "sojourn_p50_ns").unwrap_or(f64::NAN)),
             format_ns(get_f64(kv, "sojourn_p99_ns").unwrap_or(f64::NAN)),
             format_ns(get_f64(kv, "service_p99_ns").unwrap_or(f64::NAN)),
+            format_ns(get_f64(kv, "residual_p50_ns").unwrap_or(f64::NAN)),
             get_str(kv, "digest"),
         ));
     }
