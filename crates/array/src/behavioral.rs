@@ -1,13 +1,16 @@
-//! Behavioral fault-injecting synaptic memory.
+//! The fault-stream contract of the synaptic store, and the per-bank fault
+//! kernels that implement it.
 //!
-//! A functional model of the on-chip weight store: bytes in, bytes out, with
-//! the reliability of the configured cells at the configured voltage. Two
-//! injection modes mirror the ablation in DESIGN.md §5:
+//! The store is a functional model of the on-chip weight memory: bytes in,
+//! bytes out, with the reliability of the configured cells at the
+//! configured voltage. It offers two injection modes, which the
+//! `per_access_vs_snapshot` ablation test compares:
 //!
-//! * **Per-access** (this module's `read`): every read samples fresh
-//!   read-fault bits — the physically faithful model, affordable for small
-//!   networks and used to validate the snapshot shortcut.
-//! * **Snapshot** ([`SynapticMemory::corrupt_snapshot`]): one corruption
+//! * **Per-access** ([`ShardedMemory::read`] and its shared and row
+//!   variants): every read samples fresh read-fault bits — the physically
+//!   faithful model, affordable for small networks and used to validate
+//!   the snapshot shortcut.
+//! * **Snapshot** ([`ShardedMemory::corrupt_snapshot`]): one corruption
 //!   pass over the stored image, the way the paper's functional simulator
 //!   perturbs the weight matrix before an evaluation run.
 //!
@@ -25,28 +28,34 @@
 //!   single stored bit;
 //! * **snapshot corruption** is keyed by `(snapshot seed, bank)` — one
 //!   independent stream per bank, so banks can corrupt in parallel;
-//! * **owned reads** ([`SynapticMemory::read`]) are keyed by
+//! * **owned reads** ([`ShardedMemory::read`]) are keyed by
 //!   `(base seed, read counter)` — fresh per-access fault bits that depend
 //!   only on call order;
-//! * **shared reads** ([`SynapticMemory::read_shared`]) draw from a
+//! * **shared reads** ([`ShardedMemory::read_shared`]) draw from a
 //!   caller-provided RNG — the serving layer owns the randomness.
 //!
-//! This contract is what makes the bank-parallel
-//! [`ShardedMemory`](crate::sharded::ShardedMemory) *bit-identical* to this
-//! monolithic reference at any shard count: no stream ever crosses an
-//! address-range boundary. The stream helpers live in [`streams`] and are
-//! shared by both implementations.
+//! This contract is what makes the bank-parallel [`ShardedMemory`]
+//! bit-identical at any shard count: no stream ever crosses an
+//! address-range boundary. The seeds live in [`streams`]. The store's
+//! fast kernels (integer draw thresholds, interleaved write lanes) live in
+//! the crate-private `BankModels`; the integration tests check them
+//! against a naive scalar oracle built from [`streams`] and the scalar
+//! samplers of `fault_inject::injector` alone.
+//!
+//! [`ShardedMemory`]: crate::sharded::ShardedMemory
+//! [`ShardedMemory::read`]: crate::sharded::ShardedMemory::read
+//! [`ShardedMemory::read_shared`]: crate::sharded::ShardedMemory::read_shared
+//! [`ShardedMemory::corrupt_snapshot`]: crate::sharded::ShardedMemory::corrupt_snapshot
 
-use crate::organization::{SynapticMemoryMap, WordAddress};
+use crate::organization::WordAddress;
 use fault_inject::injector::{geometric_indices, sample_read_mask, InjectionStats};
 use fault_inject::model::{WordFailureModel, WORD_BITS};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use sram_exec::derive_seed;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Seed-stream derivation shared by the monolithic [`SynapticMemory`]
-/// reference and the sharded production store.
+/// Seed-stream derivation shared by the store, the BIST march, and the
+/// test oracle.
 ///
 /// Domain constants keep the write, owned-read, and bulk-read streams of
 /// one base seed disjoint; each stream is then expanded per logical
@@ -186,36 +195,7 @@ impl AccessCounts {
     }
 }
 
-/// Interior-mutable access counters: shared-state reads
-/// ([`SynapticMemory::read_shared`]) bump them through `&self` from many
-/// serving workers at once, so they are atomics rather than plain fields.
-/// Relaxed ordering suffices — the counts feed energy accounting, never
-/// synchronization.
-#[derive(Debug, Default)]
-pub(crate) struct AtomicAccessCounts {
-    pub(crate) reads: AtomicU64,
-    pub(crate) writes: AtomicU64,
-}
-
-impl AtomicAccessCounts {
-    pub(crate) fn snapshot(&self) -> AccessCounts {
-        AccessCounts {
-            reads: self.reads.load(Ordering::Relaxed) as usize,
-            writes: self.writes.load(Ordering::Relaxed) as usize,
-        }
-    }
-}
-
-impl Clone for AtomicAccessCounts {
-    fn clone(&self) -> Self {
-        Self {
-            reads: AtomicU64::new(self.reads.load(Ordering::Relaxed)),
-            writes: AtomicU64::new(self.writes.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-/// Per-bank fault-model state shared by the monolithic and sharded stores:
+/// Per-bank fault-model state of the sharded store and the BIST march:
 /// the failure models plus pre-resolved "does this bank fault at all"
 /// flags, so ideal banks skip RNG construction entirely on the hot paths.
 #[derive(Debug, Clone)]
@@ -431,274 +411,25 @@ impl BankModels {
     }
 }
 
-/// A synaptic memory with per-bank failure models — the monolithic,
-/// single-array *reference implementation* of the address-keyed randomness
-/// contract (see the [module docs](self)).
-///
-/// Production code scales past one array with
-/// [`ShardedMemory`](crate::sharded::ShardedMemory), which is pinned
-/// bit-identical to this type by the shard-equivalence property tests.
-#[derive(Debug, Clone)]
-pub struct SynapticMemory {
-    map: SynapticMemoryMap,
-    banks: BankModels,
-    words: Vec<u8>,
-    base_seed: u64,
-    /// Owned reads served so far — the key of the owned-read fault stream.
-    reads_served: u64,
-    counts: AtomicAccessCounts,
-}
-
-impl SynapticMemory {
-    /// Creates a zero-filled memory whose fault streams are rooted at
-    /// `seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `models.len()` differs from the bank count.
-    pub fn new(map: SynapticMemoryMap, models: Vec<WordFailureModel>, seed: u64) -> Self {
-        assert_eq!(
-            models.len(),
-            map.banks().len(),
-            "one failure model per bank required"
-        );
-        let words = vec![0u8; map.total_words()];
-        Self {
-            map,
-            banks: BankModels::new(models),
-            words,
-            base_seed: seed,
-            reads_served: 0,
-            counts: AtomicAccessCounts::default(),
-        }
-    }
-
-    /// The memory map.
-    pub fn map(&self) -> &SynapticMemoryMap {
-        &self.map
-    }
-
-    /// The per-bank failure models (parallel to `map().banks()`).
-    pub fn models(&self) -> &[WordFailureModel] {
-        &self.banks.models
-    }
-
-    /// Accesses served so far.
-    pub fn counts(&self) -> AccessCounts {
-        self.counts.snapshot()
-    }
-
-    /// `true` when no bank can corrupt a read: every read returns stored
-    /// bytes verbatim and draws zero randomness from the caller's RNG.
-    pub fn read_fault_free(&self) -> bool {
-        self.banks.read_fault_free()
-    }
-
-    /// Capacity in words.
-    pub fn len(&self) -> usize {
-        self.words.len()
-    }
-
-    /// `true` when the memory holds no words.
-    pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
-    }
-
-    /// Writes one word; write failures may corrupt stored bits persistently.
-    /// The corruption is keyed by the word's logical address, so rewriting
-    /// a word replays the same weak-cell pattern.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn write(&mut self, index: usize, value: u8) {
-        let addr = self.map.locate(index);
-        self.words[index] = value ^ self.banks.write_mask(self.base_seed, addr);
-        *self.counts.writes.get_mut() += 1;
-    }
-
-    /// Reads one word; read faults flip returned bits without altering the
-    /// stored value.
-    ///
-    /// Draws its fault bits from the owned-read stream (keyed by the number
-    /// of owned reads served so far); use
-    /// [`read_shared`](Self::read_shared) when the memory is shared
-    /// read-only state and the caller owns the randomness.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn read(&mut self, index: usize) -> u8 {
-        let bank = self.map.locate(index).bank;
-        let mask = self
-            .banks
-            .owned_read_mask(self.base_seed, self.reads_served, bank);
-        self.reads_served += 1;
-        *self.counts.reads.get_mut() += 1;
-        self.words[index] ^ mask
-    }
-
-    /// Reads one word through `&self`, sampling the read-fault bits from a
-    /// caller-provided RNG — the shared-state entry point of the serving
-    /// layer, where one loaded memory answers requests from many workers
-    /// and each request owns its own seed stream.
-    ///
-    /// Returns `(value, fault_mask)`: bit i of `fault_mask` is set when the
-    /// read of bit i faulted, so callers can keep per-request error
-    /// counters without a second storage access. The stored content is
-    /// untouched; the access counter is bumped atomically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn read_shared<R: Rng + ?Sized>(&self, index: usize, rng: &mut R) -> (u8, u8) {
-        let bank = self.map.locate(index).bank;
-        let mask = sample_read_mask(&self.banks.models[bank], rng);
-        self.counts.reads.fetch_add(1, Ordering::Relaxed);
-        (self.words[index] ^ mask, mask)
-    }
-
-    /// Reads the contiguous row `start..start + len` through `&self` in one
-    /// pass, appending the faulted values to `words` and the per-word fault
-    /// masks to `masks` (both are cleared first). Returns the number of
-    /// injected fault bits.
-    ///
-    /// Stream-equivalent to `len` scalar [`read_shared`](Self::read_shared)
-    /// calls on the same RNG — masks are drawn per word in address order,
-    /// each word sampling exactly the draws [`sample_read_mask`] would make
-    /// against its bank's model — but the read counter advances with a
-    /// single bump of `len` and bank boundaries are handled by segment
-    /// walking instead of a per-word address resolve.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start + len` exceeds the capacity.
-    pub fn read_row_shared<R: Rng + ?Sized>(
-        &self,
-        start: usize,
-        len: usize,
-        rng: &mut R,
-        words: &mut Vec<u8>,
-        masks: &mut Vec<u8>,
-    ) -> u64 {
-        assert!(
-            start
-                .checked_add(len)
-                .is_some_and(|end| end <= self.words.len()),
-            "row read out of range"
-        );
-        words.clear();
-        masks.clear();
-        words.extend_from_slice(&self.words[start..start + len]);
-        masks.resize(len, 0);
-        let mut fault_bits = 0u64;
-        let mut pos = 0usize;
-        while pos < len {
-            let addr = self.map.locate(start + pos);
-            let bank_words = self.map.banks()[addr.bank].words;
-            let seg = (bank_words - addr.offset).min(len - pos);
-            fault_bits +=
-                self.banks
-                    .sample_read_masks_into(addr.bank, rng, &mut masks[pos..pos + seg]);
-            pos += seg;
-        }
-        if fault_bits > 0 {
-            for (w, &m) in words.iter_mut().zip(masks.iter()) {
-                *w ^= m;
-            }
-        }
-        self.counts.reads.fetch_add(len as u64, Ordering::Relaxed);
-        fault_bits
-    }
-
-    /// Reads one word without fault injection (debug/verification path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn read_raw(&self, index: usize) -> u8 {
-        self.words[index]
-    }
-
-    /// Bulk-loads `data` through the faulty write path, starting at word 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` exceeds the capacity.
-    pub fn load(&mut self, data: &[u8]) {
-        assert!(data.len() <= self.words.len(), "data exceeds capacity");
-        self.words[..data.len()].copy_from_slice(data);
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let addr = self.map.locate(pos);
-            let bank_words = self.map.banks()[addr.bank].words;
-            let seg = (bank_words - addr.offset).min(data.len() - pos);
-            self.banks.xor_write_masks(
-                self.base_seed,
-                addr.bank,
-                addr.offset,
-                &mut self.words[pos..pos + seg],
-            );
-            pos += seg;
-        }
-        *self.counts.writes.get_mut() += data.len() as u64;
-    }
-
-    /// Reads the whole memory once through the faulty read path: every
-    /// word gets a fresh per-access mask from its bank's `(seed, bank)`
-    /// bulk stream. Returns the read-out image and the number of injected
-    /// fault bits; read counters advance by the word count.
-    pub fn read_bulk(&mut self, seed: u64) -> (Vec<u8>, u64) {
-        let mut image = Vec::with_capacity(self.words.len());
-        let mut fault_bits = 0u64;
-        let mut start = 0usize;
-        for (bank, b) in self.map.banks().iter().enumerate() {
-            let words = &self.words;
-            let (out, faults) = self
-                .banks
-                .bulk_read_bank(seed, bank, b.words, |off| words[start + off]);
-            image.extend_from_slice(&out);
-            fault_bits += faults;
-            start += b.words;
-        }
-        *self.counts.reads.get_mut() += self.words.len() as u64;
-        (image, fault_bits)
-    }
-
-    /// Produces a snapshot image of the memory as read once through the
-    /// faulty read path — the paper's "perturb the weights, then evaluate"
-    /// shortcut. Each bank corrupts on its own `(seed, bank)` stream; the
-    /// stored content is unchanged and statistics are returned alongside.
-    pub fn corrupt_snapshot(&self, seed: u64) -> (Vec<u8>, InjectionStats) {
-        let mut image = self.words.clone();
-        let mut stats = InjectionStats::default();
-        let mut start = 0usize;
-        for (bank, b) in self.map.banks().iter().enumerate() {
-            let (flips, bank_stats) = self.banks.snapshot_bank_flips(seed, bank, b.words);
-            for (off, bit_mask) in flips {
-                image[start + off] ^= bit_mask;
-            }
-            stats.merge(&bank_stats);
-            start += b.words;
-        }
-        (image, stats)
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    //! The contract's observable properties, checked on the store that
+    //! implements it (split over several shards, which nothing may notice).
     use super::*;
-    use crate::organization::SubArrayDims;
+    use crate::organization::{SubArrayDims, SynapticMemoryMap};
+    use crate::sharded::ShardedMemory;
     use fault_inject::model::BitErrorRates;
     use fault_inject::protection::{CellAssignment, ProtectionPolicy};
 
-    fn ideal_memory(words: usize) -> SynapticMemory {
+    const SHARDS: usize = 3;
+
+    fn ideal_memory(words: usize) -> ShardedMemory {
         let map =
             SynapticMemoryMap::new(&[words], &ProtectionPolicy::Uniform6T, SubArrayDims::PAPER);
-        SynapticMemory::new(map, vec![WordFailureModel::ideal()], 1)
+        ShardedMemory::new(map, vec![WordFailureModel::ideal()], 1, SHARDS)
     }
 
-    fn faulty_memory(words: usize, read_p: f64, write_p: f64, protected: usize) -> SynapticMemory {
+    fn faulty_memory(words: usize, read_p: f64, write_p: f64, protected: usize) -> ShardedMemory {
         let map = SynapticMemoryMap::new(
             &[words],
             &ProtectionPolicy::MsbProtected { msb_8t: protected },
@@ -713,7 +444,7 @@ mod tests {
             },
             &CellAssignment::msb_protected(protected),
         );
-        SynapticMemory::new(map, vec![model], 7)
+        ShardedMemory::new(map, vec![model], 7, SHARDS)
     }
 
     #[test]
@@ -821,10 +552,8 @@ mod tests {
         let mut rng_twin = StdRng::seed_from_u64(1234);
         for i in 0..512 {
             let (value, mask) = shared.read_shared(i, &mut rng);
-            let expected_mask = sample_read_mask(
-                &shared.banks.models[shared.map.locate(i).bank],
-                &mut rng_twin,
-            );
+            let expected_mask =
+                sample_read_mask(&shared.models()[shared.map().locate(i).bank], &mut rng_twin);
             assert_eq!(mask, expected_mask);
             assert_eq!(value, shared.read_raw(i) ^ mask);
             assert_eq!(value & 0xC0, shared.read_raw(i) & 0xC0, "protected MSBs");
@@ -912,6 +641,6 @@ mod tests {
     fn model_count_mismatch_panics() {
         let map =
             SynapticMemoryMap::new(&[10, 10], &ProtectionPolicy::Uniform6T, SubArrayDims::PAPER);
-        let _ = SynapticMemory::new(map, vec![WordFailureModel::ideal()], 0);
+        let _ = ShardedMemory::new(map, vec![WordFailureModel::ideal()], 0, SHARDS);
     }
 }

@@ -3,9 +3,9 @@
 //! Array and bank [`organization`] of the synaptic memory (256×256
 //! sub-arrays, one bank per ANN layer for the sensitivity-driven
 //! architecture of paper Fig. 3c), the array-level [`power`] and [`area`]
-//! rollups behind Figs. 7b/8b/8c/9, a [`behavioral`] fault-injecting
-//! memory model (the monolithic reference), the [`sharded`]
-//! bank-parallel store the system level reads weights through at scale,
+//! rollups behind Figs. 7b/8b/8c/9, the [`behavioral`] fault-stream
+//! contract, the [`sharded`] bank-parallel fault-injecting store the
+//! system level reads weights through,
 //! and the runtime-resilience layers over it: a march-test [`bist`] that
 //! maps weak cells at boot and an online ECC [`scrub`]ber that sweeps the
 //! store between serving batches.
@@ -39,10 +39,18 @@ pub mod redundancy;
 pub mod scrub;
 pub mod sharded;
 
+// The scalar test oracle lives with the integration tests; the unit tests
+// include the same file, which names this crate by its public name.
+#[cfg(test)]
+extern crate self as sram_array;
+#[cfg(test)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;
+
 /// Convenient glob import for downstream crates.
 pub mod prelude {
     pub use crate::area::{area_overhead_vs_all_6t, memory_area};
-    pub use crate::behavioral::{AccessCounts, SynapticMemory};
+    pub use crate::behavioral::AccessCounts;
     pub use crate::bist::{run_bist, BistReport, WeakWord};
     pub use crate::organization::{MemoryBank, SubArrayDims, SynapticMemoryMap, WordAddress};
     pub use crate::periphery::{PeripheryEnergy, PeripheryModel};

@@ -21,8 +21,7 @@
 //! keyed by `(seed, bank, offset)`, snapshot/bulk-read corruption by
 //! `(seed, bank)`, and shared reads draw from the caller's RNG. The
 //! shard-equivalence property tests pin a `ShardedMemory` at any shard
-//! count **bit-identical** to the monolithic
-//! [`SynapticMemory`](crate::behavioral::SynapticMemory) reference —
+//! count **bit-identical** to a naive scalar oracle of that contract —
 //! stored image, fault masks, and access counts alike.
 //!
 //! Bulk operations ([`ShardedMemory::load`], [`ShardedMemory::read_bulk`],
@@ -112,9 +111,8 @@ pub struct ShardRange {
 }
 
 /// The sharded synaptic store: `N` independent banks of words behind one
-/// address space, bit-identical to the monolithic
-/// [`SynapticMemory`](crate::behavioral::SynapticMemory) at every shard
-/// count (see the [module docs](self)).
+/// address space, bit-identical at every shard count (see the
+/// [module docs](self)).
 ///
 /// # Examples
 ///
@@ -217,11 +215,6 @@ impl ShardedMemory {
         }
     }
 
-    /// A single-shard memory — the layout the monolithic reference models.
-    pub fn monolithic(map: SynapticMemoryMap, models: Vec<WordFailureModel>, seed: u64) -> Self {
-        Self::new(map, models, seed, 1)
-    }
-
     /// The memory map.
     pub fn map(&self) -> &SynapticMemoryMap {
         &self.map
@@ -301,7 +294,8 @@ impl ShardedMemory {
         self.bank_ends.partition_point(|&end| end <= index)
     }
 
-    /// The address of `index` without the monolith's linear bank walk.
+    /// The address of `index` without [`SynapticMemoryMap::locate`]'s
+    /// linear bank walk.
     fn locate(&self, index: usize) -> WordAddress {
         let bank = self.bank_of(index);
         let bank_start = if bank == 0 {
@@ -531,8 +525,9 @@ impl ShardedMemory {
     }
 
     /// Writes one word; write failures may corrupt stored bits
-    /// persistently, keyed by the word's logical address exactly as in the
-    /// monolithic reference. Writes to a repaired row land verbatim in the
+    /// persistently, keyed by the word's logical address, so rewriting a
+    /// word replays the same weak-cell pattern. Writes to a repaired row
+    /// land verbatim in the
     /// spare (robust cells, no write-fault stream).
     ///
     /// # Panics
@@ -561,8 +556,8 @@ impl ShardedMemory {
         *s.writes.get_mut() += 1;
     }
 
-    /// Reads one word through the owned-read fault stream (keyed by the
-    /// number of owned reads served so far, like the monolithic reference).
+    /// Reads one word through the owned-read fault stream, keyed by the
+    /// number of owned reads served so far.
     ///
     /// # Panics
     ///
@@ -769,7 +764,7 @@ impl ShardedMemory {
     /// fanning out **per shard** on the `sram_exec` pool: write-fault masks
     /// are a pure function of each word's logical address, so shard loads
     /// are independent and the stored image is bit-identical to a
-    /// sequential monolithic load.
+    /// sequential word-by-word load.
     ///
     /// # Panics
     ///
@@ -866,9 +861,8 @@ impl ShardedMemory {
     /// Produces a snapshot image of the memory as read once through the
     /// faulty read path — the paper's functional-simulator shortcut —
     /// fanning the corruption out **per bank** on the `sram_exec` pool.
-    /// Bit-identical to the monolithic reference's sequential pass: each
-    /// bank owns the `(seed, bank)` stream and statistics merge in bank
-    /// order.
+    /// Bit-identical to a sequential pass over the banks: each bank owns
+    /// the `(seed, bank)` stream and statistics merge in bank order.
     pub fn corrupt_snapshot(&self, seed: u64) -> (Vec<u8>, InjectionStats) {
         let mut image = Vec::with_capacity(self.len());
         for shard in &self.shards {
@@ -910,7 +904,7 @@ impl ShardedMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::behavioral::SynapticMemory;
+    use crate::oracle::Oracle;
     use crate::organization::SubArrayDims;
     use fault_inject::model::BitErrorRates;
     use fault_inject::protection::{CellAssignment, ProtectionPolicy};
@@ -940,12 +934,12 @@ mod tests {
         write_p: f64,
         seed: u64,
         shards: usize,
-    ) -> (SynapticMemory, ShardedMemory) {
+    ) -> (Oracle, ShardedMemory) {
         let policy = ProtectionPolicy::MsbProtected { msb_8t: 2 };
         let map = SynapticMemoryMap::new(bank_words, &policy, SubArrayDims::PAPER);
         let models = models_for(&policy, bank_words.len(), read_p, write_p);
         (
-            SynapticMemory::new(map.clone(), models.clone(), seed),
+            Oracle::new(map.clone(), models.clone(), seed),
             ShardedMemory::new(map, models, seed, shards),
         )
     }
@@ -979,8 +973,7 @@ mod tests {
             let (mut mono, mut sharded) = pair(&[140, 120, 70], 0.0, 0.2, 99, shards);
             mono.load(&data);
             sharded.load(&data);
-            let mono_image: Vec<u8> = (0..330).map(|i| mono.read_raw(i)).collect();
-            assert_eq!(sharded.raw_image(), mono_image, "{shards} shards");
+            assert_eq!(sharded.raw_image(), mono.image(), "{shards} shards");
             assert_eq!(sharded.counts(), mono.counts());
         }
     }
@@ -994,13 +987,12 @@ mod tests {
         let map = SynapticMemoryMap::new(&[4, 0, 4], &policy, SubArrayDims::PAPER);
         let models = models_for(&policy, 3, 0.0, 0.5);
         let data = [0u8; 8];
-        let mut mono = SynapticMemory::new(map.clone(), models.clone(), 9);
+        let mut mono = Oracle::new(map.clone(), models.clone(), 9);
         mono.load(&data);
-        let mono_image: Vec<u8> = (0..8).map(|i| mono.read_raw(i)).collect();
         for shards in [1usize, 2, 3] {
             let mut sharded = ShardedMemory::new(map.clone(), models.clone(), 9, shards);
             sharded.load(&data);
-            assert_eq!(sharded.raw_image(), mono_image, "{shards} shards");
+            assert_eq!(sharded.raw_image(), mono.image(), "{shards} shards");
         }
     }
 

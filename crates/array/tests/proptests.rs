@@ -1,9 +1,9 @@
-//! Property-based tests for array organization and the behavioral memory.
+//! Property-based tests for array organization and the fault-injecting
+//! store.
 
 use fault_inject::model::{BitErrorRates, WordFailureModel};
 use fault_inject::protection::ProtectionPolicy;
 use proptest::prelude::*;
-use sram_array::behavioral::SynapticMemory;
 use sram_array::bist::run_bist;
 use sram_array::organization::{SubArrayDims, SynapticMemoryMap};
 use sram_array::sharded::ShardedMemory;
@@ -69,7 +69,7 @@ proptest! {
             &ProtectionPolicy::Uniform6T,
             SubArrayDims::PAPER,
         );
-        let mut memory = SynapticMemory::new(map, vec![WordFailureModel::ideal()], 1);
+        let mut memory = ShardedMemory::new(map, vec![WordFailureModel::ideal()], 1, 3);
         memory.load(&data);
         for (i, &expected) in data.iter().enumerate() {
             prop_assert_eq!(memory.read(i), expected);
@@ -92,7 +92,7 @@ proptest! {
             write_8t: 0.0,
         };
         let model = WordFailureModel::new(&rates, &fault_inject::protection::CellAssignment::all_6t());
-        let mut memory = SynapticMemory::new(map, vec![model], 2);
+        let mut memory = ShardedMemory::new(map, vec![model], 2, 3);
         memory.load(&vec![0u8; n]);
         let (_, stats) = memory.corrupt_snapshot(seed);
         let expected = (n * 8) as f64 * p;

@@ -128,7 +128,7 @@ impl Framework {
     /// the natural bank-parallel layout of paper Fig. 3c.
     ///
     /// The shard count never changes an observable bit (the store is
-    /// pinned bit-identical to the monolithic reference at any count);
+    /// pinned bit-identical at any count);
     /// use [`build_memory_sharded`](Self::build_memory_sharded) to pick a
     /// different throughput/parallelism trade-off.
     pub fn build_memory(

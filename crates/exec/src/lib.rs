@@ -35,15 +35,19 @@
 //!
 //! [`MemoCache`] rounds out the engine: a concurrency-safe memo table used
 //! to share one expensive characterization across every experiment instead
-//! of recomputing it per consumer.
+//! of recomputing it per consumer. Two std-only utilities every tool in
+//! the workspace shares live here too: the strict flag parser in [`cli`]
+//! and the FNV-1a fold in [`digest`].
 
 pub mod cache;
 pub mod cli;
+pub mod digest;
 pub mod pool;
 pub mod seed;
 
 pub use cache::MemoCache;
-pub use cli::strip_threads_flag;
+pub use cli::{strip_threads_flag, Flags};
+pub use digest::{fnv1a, fnv1a_u64, FNV_OFFSET};
 pub use pool::{clear_threads, effective_threads, par_map, par_map_indexed, set_threads};
 pub use seed::derive_seed;
 

@@ -27,6 +27,7 @@
 //! flags — independent of `--threads` — which the xtask gate checks by
 //! diffing two runs at different worker counts.
 
+use sram_exec::Flags;
 use sram_gen::error::GenError;
 use sram_gen::organize::layout_digest;
 use sram_gen::report::{GenReport, GenReportOptions};
@@ -56,41 +57,16 @@ fn parse_args() -> Result<Args, String> {
         smoke_requests: 32,
         report: None,
     };
-    let mut it = raw.into_iter();
-    while let Some(flag) = it.next() {
-        let mut value_of = |flag: &str| it.next().ok_or_else(|| format!("{flag} requires a value"));
-        match flag.as_str() {
-            "--specs-dir" => args.specs_dir = Some(PathBuf::from(value_of("--specs-dir")?)),
-            "--spec" => args.spec_files.push(PathBuf::from(value_of("--spec")?)),
-            "--corpus-dir" => args.corpus_dir = Some(PathBuf::from(value_of("--corpus-dir")?)),
-            "--random" => {
-                args.random = value_of("--random")?
-                    .parse()
-                    .map_err(|_| "invalid --random value")?;
-            }
-            "--seed" => {
-                args.seed = value_of("--seed")?
-                    .parse()
-                    .map_err(|_| "invalid --seed value")?;
-            }
-            "--mc" => {
-                args.mc_samples = value_of("--mc")?
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n > 0)
-                    .ok_or("invalid --mc value")?;
-            }
-            "--smoke" => {
-                args.smoke_requests = value_of("--smoke")?
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n > 0)
-                    .ok_or("invalid --smoke value")?;
-            }
-            "--report" => args.report = Some(PathBuf::from(value_of("--report")?)),
-            other => return Err(format!("unknown argument: {other}")),
-        }
-    }
+    Flags::default()
+        .optional("--specs-dir", &mut args.specs_dir, |_| true)
+        .repeated("--spec", &mut args.spec_files)
+        .optional("--corpus-dir", &mut args.corpus_dir, |_| true)
+        .value("--random", &mut args.random, |_| true)
+        .value("--seed", &mut args.seed, |_| true)
+        .value("--mc", &mut args.mc_samples, |&n| n > 0)
+        .value("--smoke", &mut args.smoke_requests, |&n| n > 0)
+        .optional("--report", &mut args.report, |_| true)
+        .parse(raw)?;
     Ok(args)
 }
 

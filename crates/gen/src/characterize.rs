@@ -200,14 +200,14 @@ pub fn serving_rates(spec: &SramSpec, cfg: &CharacterizeConfig) -> BitErrorRates
 impl VoltagePoint {
     /// Folds every observable of this point into an FNV digest state.
     pub fn fold_digest(&self, mut h: u64) -> u64 {
-        use crate::organize::fnv_u64;
-        h = fnv_u64(h, self.vdd.to_bits());
-        h = fnv_u64(h, self.write_margin_v.to_bits());
-        h = fnv_u64(h, self.writable as u64);
-        h = fnv_u64(h, self.hold_snm_v.to_bits());
-        h = fnv_u64(h, self.read_snm_v.to_bits());
+        use sram_exec::fnv1a_u64;
+        h = fnv1a_u64(h, self.vdd.to_bits());
+        h = fnv1a_u64(h, self.write_margin_v.to_bits());
+        h = fnv1a_u64(h, self.writable as u64);
+        h = fnv1a_u64(h, self.hold_snm_v.to_bits());
+        h = fnv1a_u64(h, self.read_snm_v.to_bits());
         for t in [self.write_time_s, self.read_6t_s, self.read_8t_s] {
-            h = fnv_u64(h, t.map_or(u64::MAX, f64::to_bits));
+            h = fnv1a_u64(h, t.map_or(u64::MAX, f64::to_bits));
         }
         for p in [
             self.read_ber_6t,
@@ -215,7 +215,7 @@ impl VoltagePoint {
             self.read_ber_8t,
             self.write_ber_8t,
         ] {
-            h = fnv_u64(h, p.to_bits());
+            h = fnv1a_u64(h, p.to_bits());
         }
         h
     }

@@ -14,7 +14,7 @@
 use crate::characterize::{characterize, serving_rates, CharacterizeConfig, GenCharacterization};
 use crate::error::GenError;
 use crate::netlist::{emit, GeneratedNetlists};
-use crate::organize::{fnv, fnv_u64, GeneratedOrganization, FNV_OFFSET};
+use crate::organize::GeneratedOrganization;
 use crate::spec::SramSpec;
 use fault_inject::model::{BitErrorRates, WordFailureModel};
 use neuro_system::controller::NeuromorphicSystem;
@@ -26,6 +26,7 @@ use sram_array::sharded::ShardedMemory;
 use sram_device::units::Volt;
 use sram_ecc::hamming::SecdedCode;
 use sram_ecc::overhead::EccOverheadModel;
+use sram_exec::{fnv1a, fnv1a_u64, FNV_OFFSET};
 
 /// Word read rate the power rollup assumes (iso-throughput convention).
 pub const WORD_READ_RATE_HZ: f64 = 1.0e6;
@@ -212,7 +213,7 @@ impl GenReport {
     /// repeated runs; the design-space gate compares it between sweeps.
     pub fn digest(&self) -> u64 {
         let mut h = FNV_OFFSET;
-        h = fnv_u64(h, self.organization.layout_digest());
+        h = fnv1a_u64(h, self.organization.layout_digest());
         h = self.characterization.active.fold_digest(h);
         h = self.characterization.drowsy.fold_digest(h);
         for x in [
@@ -226,14 +227,14 @@ impl GenReport {
             self.power.ecc_read_j,
             self.power.ecc_write_j,
         ] {
-            h = fnv_u64(h, x.to_bits());
+            h = fnv1a_u64(h, x.to_bits());
         }
-        h = fnv_u64(h, self.area.subarrays as u64);
-        h = fnv_u64(h, self.area.sense_amps_per_subarray as u64);
-        h = fnv_u64(h, self.area.ecc_extra_bits as u64);
-        h = fnv(h, self.netlists.six_t.as_bytes());
-        h = fnv(h, self.netlists.eight_t.as_bytes());
-        h = fnv_u64(h, self.smoke.digest);
+        h = fnv1a_u64(h, self.area.subarrays as u64);
+        h = fnv1a_u64(h, self.area.sense_amps_per_subarray as u64);
+        h = fnv1a_u64(h, self.area.ecc_extra_bits as u64);
+        h = fnv1a(h, self.netlists.six_t.as_bytes());
+        h = fnv1a(h, self.netlists.eight_t.as_bytes());
+        h = fnv1a_u64(h, self.smoke.digest);
         h
     }
 
@@ -298,9 +299,9 @@ fn run_smoke(
                 let mut ctx = system.make_context(opts.base_seed, r as u64);
                 let prediction = system.classify_request(&features, &mut ctx);
                 faults += ctx.fault_bits();
-                h = fnv_u64(h, r as u64);
-                h = fnv_u64(h, prediction as u64);
-                h = fnv_u64(h, ctx.fault_bits());
+                h = fnv1a_u64(h, r as u64);
+                h = fnv1a_u64(h, prediction as u64);
+                h = fnv1a_u64(h, ctx.fault_bits());
             }
             SmokeSummary {
                 requests: opts.smoke_requests,
@@ -317,8 +318,8 @@ fn run_smoke(
                 .collect();
             store.load(&image);
             let (bytes, faults) = store.read_bulk(opts.base_seed);
-            h = fnv(h, &bytes);
-            h = fnv_u64(h, faults);
+            h = fnv1a(h, &bytes);
+            h = fnv1a_u64(h, faults);
             SmokeSummary {
                 requests: 1,
                 fault_bits: faults,

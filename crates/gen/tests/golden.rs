@@ -112,7 +112,7 @@ fn digits_characterization_is_stable_across_rebuilds() {
     let b = characterize(&spec, &cfg);
     let fold = |c: &sram_gen::characterize::GenCharacterization| {
         c.drowsy
-            .fold_digest(c.active.fold_digest(0xcbf2_9ce4_8422_2325))
+            .fold_digest(c.active.fold_digest(sram_exec::FNV_OFFSET))
     };
     assert_eq!(fold(&a), fold(&b));
 }

@@ -37,6 +37,7 @@ use neural::dataset::{spectra, Dataset};
 use neural::network::Mlp;
 use neural::quant::{Encoding, QuantizedMlp};
 use neural::train::{train, TrainOptions};
+use sram_exec::Flags;
 use sram_net::loadgen::{self, LoadOptions, TenantStream};
 use sram_net::registry::{ModelRegistry, TenantSpec};
 use sram_net::server::{self, NetServerOptions};
@@ -71,71 +72,18 @@ fn parse_args() -> Result<Args, String> {
         per_conn_inflight: 0,
         report: None,
     };
-    let mut it = raw.into_iter();
-    while let Some(flag) = it.next() {
-        let mut value_of = |flag: &str| it.next().ok_or_else(|| format!("{flag} requires a value"));
-        match flag.as_str() {
-            "--tenants" => {
-                args.tenants = value_of("--tenants")?
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| (1..=3).contains(&n))
-                    .ok_or("invalid --tenants value (1..=3)")?;
-            }
-            "--requests" => {
-                args.requests = value_of("--requests")?
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n > 0)
-                    .ok_or("invalid --requests value")?;
-            }
-            "--rate" => {
-                args.rate = value_of("--rate")?
-                    .parse()
-                    .ok()
-                    .filter(|&r: &f64| r.is_finite() && r >= 0.0)
-                    .ok_or("invalid --rate value")?;
-            }
-            "--connections" => {
-                args.connections = value_of("--connections")?
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n > 0)
-                    .ok_or("invalid --connections value")?;
-            }
-            "--seed" => {
-                args.seed = value_of("--seed")?
-                    .parse()
-                    .map_err(|_| "invalid --seed value")?;
-            }
-            "--shards" => {
-                args.shards = value_of("--shards")?
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n > 0)
-                    .ok_or("invalid --shards value")?;
-            }
-            "--global-inflight" => {
-                args.global_inflight = value_of("--global-inflight")?
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n > 0)
-                    .ok_or("invalid --global-inflight value")?;
-            }
-            "--soft-inflight" => {
-                args.soft_inflight = value_of("--soft-inflight")?
-                    .parse()
-                    .map_err(|_| "invalid --soft-inflight value")?;
-            }
-            "--per-conn-inflight" => {
-                args.per_conn_inflight = value_of("--per-conn-inflight")?
-                    .parse()
-                    .map_err(|_| "invalid --per-conn-inflight value")?;
-            }
-            "--report" => args.report = Some(value_of("--report")?),
-            other => return Err(format!("unknown argument: {other}")),
-        }
-    }
+    Flags::default()
+        .value("--tenants", &mut args.tenants, |n| (1..=3).contains(n))
+        .value("--requests", &mut args.requests, |&n| n > 0)
+        .value("--rate", &mut args.rate, |&r| r.is_finite() && r >= 0.0)
+        .value("--connections", &mut args.connections, |&n| n > 0)
+        .value("--seed", &mut args.seed, |_| true)
+        .value("--shards", &mut args.shards, |&n| n > 0)
+        .value("--global-inflight", &mut args.global_inflight, |&n| n > 0)
+        .value("--soft-inflight", &mut args.soft_inflight, |_| true)
+        .value("--per-conn-inflight", &mut args.per_conn_inflight, |_| true)
+        .optional("--report", &mut args.report, |_| true)
+        .parse(raw)?;
     if args.soft_inflight == 0 {
         args.soft_inflight = args.global_inflight * 3 / 4;
     }

@@ -246,7 +246,7 @@ impl RunningServer {
 /// # Errors
 ///
 /// Returns the bind error if the address is unavailable, or the error
-/// creating the IO thread's wake socket.
+/// creating the IO thread's wake socket or the IO thread itself.
 pub fn spawn(
     registry: Arc<ModelRegistry>,
     options: NetServerOptions,
@@ -260,8 +260,7 @@ pub fn spawn(
     let io_waker = waker.clone();
     let handle = std::thread::Builder::new()
         .name("sram-net-io".to_string())
-        .spawn(move || run_server(listener, idle, &io_waker, &registry, &options, &stop_flag))
-        .expect("spawn server thread");
+        .spawn(move || run_server(listener, idle, &io_waker, &registry, &options, &stop_flag))?;
     Ok(RunningServer {
         addr,
         stop,

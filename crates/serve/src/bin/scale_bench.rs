@@ -19,8 +19,8 @@
 //! * digests the stored image, the bulk read-out, and the snapshot.
 //!
 //! The digests must match across shard counts — the sharded store is
-//! bit-identical to the monolithic reference, so sharding is a pure
-//! throughput knob. `cargo xtask scale-report` runs this binary, renders
+//! bit-identical at every shard count, so sharding is a pure throughput
+//! knob. `cargo xtask scale-report` runs this binary, renders
 //! the scaling table, and (with `--gate`) fails on digest divergence or on
 //! the largest shard count loading meaningfully slower than one shard;
 //! multi-core CI additionally demands a real speedup (`--min-speedup`).
@@ -34,6 +34,7 @@ use neuro_system::layout;
 use neuro_system::npe::Npe;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sram_exec::Flags;
 use sram_serve::fixture::{million_synapse_network, scale_memory};
 use sram_serve::{byte_digest, InferenceServer, ServeOptions};
 use std::time::Instant;
@@ -47,42 +48,28 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let raw = sram_exec::strip_threads_flag(std::env::args().skip(1).collect())?;
-    let mut args = Args {
-        shards: vec![1, 2, 4],
-        serve: 4,
-        seed: 0x5CA1_EB01,
-        report: None,
-    };
-    let mut it = raw.into_iter();
-    while let Some(flag) = it.next() {
-        let mut value_of = |flag: &str| it.next().ok_or_else(|| format!("{flag} requires a value"));
-        match flag.as_str() {
-            "--shards" => {
-                let list = value_of("--shards")?;
-                args.shards = list
-                    .split(',')
-                    .map(|s| s.trim().parse::<usize>())
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(|_| "invalid --shards list (e.g. 1,2,4)".to_string())?;
-                if args.shards.is_empty() || args.shards.contains(&0) {
-                    return Err("--shards needs positive counts".into());
-                }
-            }
-            "--serve" => {
-                args.serve = value_of("--serve")?
-                    .parse()
-                    .map_err(|_| "invalid --serve value")?;
-            }
-            "--seed" => {
-                args.seed = value_of("--seed")?
-                    .parse()
-                    .map_err(|_| "invalid --seed value")?;
-            }
-            "--report" => args.report = Some(value_of("--report")?),
-            other => return Err(format!("unknown argument: {other}")),
-        }
+    let (mut shard_list, mut serve, mut seed, mut report) =
+        (String::from("1,2,4"), 4, 0x5CA1_EB01, None);
+    Flags::default()
+        .value("--shards", &mut shard_list, |_| true)
+        .value("--serve", &mut serve, |_| true)
+        .value("--seed", &mut seed, |_| true)
+        .optional("--report", &mut report, |_| true)
+        .parse(raw)?;
+    let shards = shard_list
+        .split(',')
+        .map(|s| s.trim().parse::<usize>())
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|_| "invalid --shards list (e.g. 1,2,4)".to_string())?;
+    if shards.contains(&0) {
+        return Err("--shards needs positive counts".into());
     }
-    Ok(args)
+    Ok(Args {
+        shards,
+        serve,
+        seed,
+        report,
+    })
 }
 
 fn format_ms(ns: u128) -> String {

@@ -46,6 +46,7 @@ use sram_array::power::PowerConvention;
 use sram_bitcell::characterize::CharacterizationOptions;
 use sram_device::process::Technology;
 use sram_device::units::Volt;
+use sram_exec::Flags;
 use sram_serve::fixture::{request_stream, trained_digit_network};
 use sram_serve::{
     apply_chaos_event, drowsy_plan, prediction_digest, DrowsyPolicy, InferenceServer,
@@ -76,47 +77,16 @@ fn parse_args() -> Result<Args, String> {
         waves: 4,
         chaos_seed: 0xC4A0_5EED,
     };
-    let mut it = raw.into_iter();
-    while let Some(flag) = it.next() {
-        let mut value_of = |flag: &str| it.next().ok_or_else(|| format!("{flag} requires a value"));
-        match flag.as_str() {
-            "--requests" => {
-                args.requests = value_of("--requests")?
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n > 0)
-                    .ok_or("invalid --requests value")?;
-            }
-            "--batch" => {
-                args.max_batch = value_of("--batch")?
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n > 0)
-                    .ok_or("invalid --batch value")?;
-            }
-            "--seed" => {
-                args.seed = value_of("--seed")?
-                    .parse()
-                    .map_err(|_| "invalid --seed value")?;
-            }
-            "--report" => args.report = Some(value_of("--report")?),
-            "--predictions" => args.predictions = Some(value_of("--predictions")?),
-            "--chaos" => args.chaos = true,
-            "--waves" => {
-                args.waves = value_of("--waves")?
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n > 0)
-                    .ok_or("invalid --waves value")?;
-            }
-            "--chaos-seed" => {
-                args.chaos_seed = value_of("--chaos-seed")?
-                    .parse()
-                    .map_err(|_| "invalid --chaos-seed value")?;
-            }
-            other => return Err(format!("unknown argument: {other}")),
-        }
-    }
+    Flags::default()
+        .value("--requests", &mut args.requests, |&n| n > 0)
+        .value("--batch", &mut args.max_batch, |&n| n > 0)
+        .value("--seed", &mut args.seed, |_| true)
+        .optional("--report", &mut args.report, |_| true)
+        .optional("--predictions", &mut args.predictions, |_| true)
+        .switch("--chaos", &mut args.chaos)
+        .value("--waves", &mut args.waves, |&n| n > 0)
+        .value("--chaos-seed", &mut args.chaos_seed, |_| true)
+        .parse(raw)?;
     Ok(args)
 }
 

@@ -10,6 +10,8 @@
 //! combine associatively and the merged quantiles do not depend on worker
 //! count or merge order.
 
+use sram_exec::{fnv1a, fnv1a_u64, FNV_OFFSET};
+
 /// Sub-buckets per octave (2^3): latencies keep their top four significant
 /// bits.
 const SUBS_PER_OCTAVE: usize = 8;
@@ -163,26 +165,16 @@ impl LatencyHistogram {
 /// FNV-1a digest of a prediction vector — the fingerprint `serve_bench`
 /// prints and the `serve-load` CI job compares across worker counts.
 pub fn prediction_digest(predictions: &[usize]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &p in predictions {
-        for byte in (p as u64).to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    hash
+    predictions
+        .iter()
+        .fold(FNV_OFFSET, |h, &p| fnv1a_u64(h, p as u64))
 }
 
 /// FNV-1a fingerprint of a byte image (memory contents, bulk-read sweeps);
 /// the `scale_bench` shard-equivalence gate compares these across shard
 /// counts.
 pub fn byte_digest(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
+    fnv1a(FNV_OFFSET, bytes)
 }
 
 #[cfg(test)]

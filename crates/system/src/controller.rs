@@ -116,9 +116,8 @@ impl InferContext {
 /// The neuromorphic system: NPE bank + controller + synaptic memory.
 ///
 /// The weight store is the bank-parallel [`ShardedMemory`]; since the
-/// sharded store is bit-identical to the monolithic reference at every
-/// shard count, the shard count is a pure throughput knob — predictions
-/// never depend on it.
+/// sharded store is bit-identical at every shard count, the shard count
+/// is a pure throughput knob — predictions never depend on it.
 ///
 /// The store is held behind an [`Arc`] so several resident systems
 /// (tenants) can share one physical memory, each addressing its own bank

@@ -28,12 +28,7 @@ pub fn cases() -> u32 {
 /// Deterministic per-property RNG. The seed mixes the property name so
 /// different properties explore different points.
 pub fn test_rng(name: &str) -> StdRng {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    StdRng::seed_from_u64(h)
+    StdRng::seed_from_u64(sram_exec::fnv1a(sram_exec::FNV_OFFSET, name.as_bytes()))
 }
 
 /// A generator of values (stand-in for `proptest::strategy::Strategy`;

@@ -14,9 +14,9 @@
 //!   parser/writer;
 //! * [`bitcell`] — 6T/8T characterization and Monte Carlo failure analysis;
 //! * [`array`](mod@array) — sub-array/bank organization, power/area rollups
-//!   (with optional periphery), redundancy repair, the behavioral
-//!   fault-injecting memory (monolithic reference) and the sharded
-//!   bank-parallel store;
+//!   (with optional periphery), redundancy repair, the address-keyed
+//!   fault-stream contract and the sharded bank-parallel fault-injecting
+//!   store;
 //! * [`ecc`] — SECDED Hamming codes and overhead models (the ECC baseline);
 //! * [`ann`] — the from-scratch MLP, datasets, quantization, evaluation;
 //! * [`faults`] — bit-level fault models and protection policies;

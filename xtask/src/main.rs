@@ -28,8 +28,8 @@
 //!   (one process, shard counts 1/2/4 back-to-back) and renders the shard
 //!   scaling table (written to `--out`, default `target/scale-report.txt`).
 //!   With `--gate`, exits non-zero when the per-shard-count digests differ
-//!   (the sharded store diverged from the monolithic reference — a
-//!   correctness failure, never acceptable) or when the widest shard
+//!   (the shard counts stored or read different bytes — a correctness
+//!   failure, never acceptable) or when the widest shard
 //!   count loads more than [`SERVE_SLOWDOWN_FACTOR`]× slower than one
 //!   shard; `--min-speedup X` additionally requires a genuine ≥X× load
 //!   speedup on known multi-core runners.
@@ -80,7 +80,9 @@
 //! kernel regressing *relative to the machine* still trips the gate.
 
 use criterion::read_bench_json;
-use std::path::PathBuf;
+use sram_exec::Flags;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
 /// Committed baseline location, relative to the workspace root.
@@ -151,13 +153,13 @@ const CHAOS_P99_FACTOR: f64 = 2.0;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("bench-diff") => bench_diff(&args[1..]),
-        Some("serve-report") => serve_report(&args[1..]),
-        Some("scale-report") => scale_report(&args[1..]),
-        Some("chaos-report") => chaos_report(&args[1..]),
-        Some("net-report") => net_report(&args[1..]),
-        Some("gen-report") => gen_report(&args[1..]),
+    let task = match args.first().map(String::as_str) {
+        Some("bench-diff") => bench_diff,
+        Some("serve-report") => serve_report,
+        Some("scale-report") => scale_report,
+        Some("chaos-report") => chaos_report,
+        Some("net-report") => net_report,
+        Some("gen-report") => gen_report,
         _ => {
             eprintln!("usage: cargo xtask bench-diff [--no-run] [--current <path>]");
             eprintln!(
@@ -169,9 +171,13 @@ fn main() -> ExitCode {
                 "       cargo xtask net-report [--gate] [--requests N] [--rate R] [--slo-ms X] [--out <path>]"
             );
             eprintln!("       cargo xtask gen-report [--gate] [--random N] [--out <path>]");
-            ExitCode::FAILURE
+            return ExitCode::FAILURE;
         }
-    }
+    };
+    task(&args[1..]).unwrap_or_else(|e| {
+        eprintln!("{}: {e}", args[0]);
+        ExitCode::FAILURE
+    })
 }
 
 fn format_ns(ns: f64) -> String {
@@ -186,26 +192,16 @@ fn format_ns(ns: f64) -> String {
     }
 }
 
-fn bench_diff(args: &[String]) -> ExitCode {
-    let mut run = true;
+/// What a task returns: its exit code, or an error that ends it early.
+type TaskResult = Result<ExitCode, String>;
+
+fn bench_diff(args: &[String]) -> TaskResult {
+    let mut no_run = false;
     let mut current_path = "target/bench-current.json".to_string();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--no-run" => run = false,
-            "--current" => match it.next() {
-                Some(p) => current_path = p.clone(),
-                None => {
-                    eprintln!("--current requires a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("unknown bench-diff argument: {other}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    Flags::default()
+        .switch("--no-run", &mut no_run)
+        .value("--current", &mut current_path, |_| true)
+        .parse(args.iter().cloned())?;
 
     // Absolutize: the bench binaries run with their package root as working
     // directory, so a relative BENCH_JSON_PATH would land in crates/bench/.
@@ -213,7 +209,7 @@ fn bench_diff(args: &[String]) -> ExitCode {
         Ok(cwd) => cwd.join(&current_path),
         Err(_) => current_path.into(),
     };
-    if run {
+    if !no_run {
         // Start from a clean scratch file so stale entries never mask a
         // missing bench.
         let _ = std::fs::remove_file(&current_path);
@@ -224,29 +220,22 @@ fn bench_diff(args: &[String]) -> ExitCode {
         let status = Command::new(env!("CARGO"))
             .args(["bench", "-p", "paper_bench"])
             .env("BENCH_JSON_PATH", &current_path)
-            .status();
-        match status {
-            Ok(s) if s.success() => {}
-            Ok(s) => {
-                eprintln!("cargo bench failed: {s}");
-                return ExitCode::FAILURE;
-            }
-            Err(e) => {
-                eprintln!("could not launch cargo bench: {e}");
-                return ExitCode::FAILURE;
-            }
+            .status()
+            .map_err(|e| format!("could not launch cargo bench: {e}"))?;
+        if !status.success() {
+            return Err(format!("cargo bench failed: {status}"));
         }
     }
 
     let baseline = read_bench_json(BASELINE);
     let current = read_bench_json(&current_path.display().to_string());
     if baseline.is_empty() {
-        eprintln!("no baseline at {BASELINE} (run from the workspace root)");
-        return ExitCode::FAILURE;
+        return Err(format!(
+            "no baseline at {BASELINE} (run from the workspace root)"
+        ));
     }
     if current.is_empty() {
-        eprintln!("no fresh results at {}", current_path.display());
-        return ExitCode::FAILURE;
+        return Err(format!("no fresh results at {}", current_path.display()));
     }
 
     // Machine-speed scale from the calibration microkernel; 1.0 (raw
@@ -306,103 +295,92 @@ fn bench_diff(args: &[String]) -> ExitCode {
 
     if regressions.is_empty() {
         println!("\nno tracked kernel regressed beyond {REGRESSION_FACTOR}x");
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     } else {
         eprintln!("\ntracked kernels regressed beyond {REGRESSION_FACTOR}x:");
         for (name, ratio) in &regressions {
             eprintln!("  {name}: {ratio:.2}x");
         }
-        ExitCode::FAILURE
+        Ok(ExitCode::FAILURE)
     }
 }
 
-/// Parses a `key=value` report written by `serve_bench --report`.
-fn read_kv_report(path: &std::path::Path) -> Option<std::collections::BTreeMap<String, String>> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let mut map = std::collections::BTreeMap::new();
-    for line in text.lines() {
-        if let Some((k, v)) = line.split_once('=') {
-            map.insert(k.trim().to_string(), v.trim().to_string());
-        }
+/// A parsed `key=value` report.
+type Report = BTreeMap<String, String>;
+
+/// The workspace `target/` directory (created if missing), where the
+/// reports and the raw runs behind them are written.
+fn target_dir() -> PathBuf {
+    let target = std::env::current_dir().unwrap_or_default().join("target");
+    let _ = std::fs::create_dir_all(&target);
+    target
+}
+
+/// Runs the release build of workspace binary `bin` from `package` with
+/// `args` plus `--report <report>`, and parses the `key=value` report it
+/// writes there.
+fn run_bin_report(
+    package: &str,
+    bin: &str,
+    args: &[&str],
+    report: &Path,
+) -> Result<Report, String> {
+    let _ = std::fs::remove_file(report);
+    let status = Command::new(env!("CARGO"))
+        .args(["run", "--release", "-q", "-p", package, "--bin", bin, "--"])
+        .args(args)
+        .arg("--report")
+        .arg(report)
+        .status()
+        .map_err(|e| format!("could not launch {bin}: {e}"))?;
+    if !status.success() {
+        return Err(format!("{bin} {} failed: {status}", args.join(" ")));
     }
-    Some(map)
+    let text = std::fs::read_to_string(report)
+        .map_err(|e| format!("no report at {}: {e}", report.display()))?;
+    Ok(text
+        .lines()
+        .filter_map(|line| line.split_once('='))
+        .map(|(k, v)| (k.trim().to_string(), v.trim().to_string()))
+        .collect())
+}
+
+/// Prints `table` and writes it to `out_path`.
+fn emit_table(table: &str, out_path: &str, what: &str) -> Result<(), String> {
+    print!("{table}");
+    std::fs::write(out_path, table).map_err(|e| format!("could not write {out_path}: {e}"))?;
+    eprintln!("{what} report written to {out_path}");
+    Ok(())
 }
 
 /// Shard counts `scale-report` asks `scale_bench` for (ascending; the
 /// scaling gate compares the last against the first).
 const SCALE_SHARDS: &[usize] = &[1, 2, 4];
 
-fn scale_report(args: &[String]) -> ExitCode {
+fn scale_report(args: &[String]) -> TaskResult {
     let mut gate = false;
     let mut out_path = "target/scale-report.txt".to_string();
     let mut min_speedup: Option<f64> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--gate" => gate = true,
-            "--min-speedup" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(x) if x > 0.0 && x.is_finite() => min_speedup = Some(x),
-                _ => {
-                    eprintln!("--min-speedup requires a positive factor, e.g. 1.3");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--out" => match it.next() {
-                Some(p) => out_path = p.clone(),
-                None => {
-                    eprintln!("--out requires a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("unknown scale-report argument: {other}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    Flags::default()
+        .switch("--gate", &mut gate)
+        .optional("--min-speedup", &mut min_speedup, |&x| {
+            x > 0.0 && x.is_finite()
+        })
+        .value("--out", &mut out_path, |_| true)
+        .parse(args.iter().cloned())?;
 
-    let cwd = std::env::current_dir().unwrap_or_default();
-    let target = cwd.join("target");
-    let _ = std::fs::create_dir_all(&target);
-    let report_path = target.join("scale-bench.txt");
-    let _ = std::fs::remove_file(&report_path);
     let shard_list = SCALE_SHARDS
         .iter()
         .map(usize::to_string)
         .collect::<Vec<_>>()
         .join(",");
     eprintln!("running scale_bench (shards {shard_list})...");
-    let status = Command::new(env!("CARGO"))
-        .args([
-            "run",
-            "--release",
-            "-q",
-            "-p",
-            "sram_serve",
-            "--bin",
-            "scale_bench",
-            "--",
-            "--shards",
-            &shard_list,
-            "--report",
-            &report_path.display().to_string(),
-        ])
-        .status();
-    match status {
-        Ok(s) if s.success() => {}
-        Ok(s) => {
-            eprintln!("scale_bench failed: {s}");
-            return ExitCode::FAILURE;
-        }
-        Err(e) => {
-            eprintln!("could not launch scale_bench: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    let Some(kv) = read_kv_report(&report_path) else {
-        eprintln!("no report at {}", report_path.display());
-        return ExitCode::FAILURE;
-    };
+    let kv = run_bin_report(
+        "sram_serve",
+        "scale_bench",
+        &["--shards", &shard_list],
+        &target_dir().join("scale-bench.txt"),
+    )?;
 
     let get_ns = |key: &str| kv.get(key).and_then(|v| v.parse::<f64>().ok());
     let mut table = String::new();
@@ -441,19 +419,14 @@ fn scale_report(args: &[String]) -> ExitCode {
         if identical { "IDENTICAL" } else { "DIVERGED" },
     ));
 
-    print!("{table}");
-    if let Err(e) = std::fs::write(&out_path, &table) {
-        eprintln!("could not write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("scale report written to {out_path}");
+    emit_table(&table, &out_path, "scale")?;
 
     if gate {
         let mut failed = false;
         if !identical {
             eprintln!(
-                "GATE FAILED: sharded images diverge across shard counts \
-                 (the store is no longer bit-identical to the monolithic reference)"
+                "GATE FAILED: sharded images diverge across shard counts {SCALE_SHARDS:?} \
+                 (sharding must never change a stored or read byte)"
             );
             failed = true;
         }
@@ -477,106 +450,53 @@ fn scale_report(args: &[String]) -> ExitCode {
             }
         }
         if failed {
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         println!("scale gate passed: images identical, {last}-shard load speedup {speedup:.2}x");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn serve_report(args: &[String]) -> ExitCode {
+fn serve_report(args: &[String]) -> TaskResult {
     let mut gate = false;
     let mut requests = 512usize;
     let mut out_path = "target/serve-report.txt".to_string();
     let mut min_speedup: Option<f64> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--gate" => gate = true,
-            "--requests" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => requests = n,
-                _ => {
-                    eprintln!("--requests requires a positive count");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--min-speedup" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(x) if x > 0.0 && x.is_finite() => min_speedup = Some(x),
-                _ => {
-                    eprintln!("--min-speedup requires a positive factor, e.g. 1.4");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--out" => match it.next() {
-                Some(p) => out_path = p.clone(),
-                None => {
-                    eprintln!("--out requires a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("unknown serve-report argument: {other}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    Flags::default()
+        .switch("--gate", &mut gate)
+        .value("--requests", &mut requests, |&n| n > 0)
+        .optional("--min-speedup", &mut min_speedup, |&x| {
+            x > 0.0 && x.is_finite()
+        })
+        .value("--out", &mut out_path, |_| true)
+        .parse(args.iter().cloned())?;
 
-    let cwd = std::env::current_dir().unwrap_or_default();
-    let target = cwd.join("target");
-    let _ = std::fs::create_dir_all(&target);
+    let target = target_dir();
     let worker_counts = [1usize, 4];
     let mut reports = Vec::new();
     for &workers in &worker_counts {
-        let report_path = target.join(format!("serve-{workers}w.txt"));
         let preds_path = target.join(format!("serve-preds-{workers}w.txt"));
-        let _ = std::fs::remove_file(&report_path);
         let _ = std::fs::remove_file(&preds_path);
         eprintln!("running serve_bench at {workers} worker(s)...");
-        let status = Command::new(env!("CARGO"))
-            .args([
-                "run",
-                "--release",
-                "-q",
-                "-p",
-                "sram_serve",
-                "--bin",
-                "serve_bench",
-                "--",
+        let kv = run_bin_report(
+            "sram_serve",
+            "serve_bench",
+            &[
                 "--requests",
                 &requests.to_string(),
                 "--threads",
                 &workers.to_string(),
-                "--report",
-                &report_path.display().to_string(),
                 "--predictions",
                 &preds_path.display().to_string(),
-            ])
-            .status();
-        match status {
-            Ok(s) if s.success() => {}
-            Ok(s) => {
-                eprintln!("serve_bench failed at {workers} workers: {s}");
-                return ExitCode::FAILURE;
-            }
-            Err(e) => {
-                eprintln!("could not launch serve_bench: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        let Some(kv) = read_kv_report(&report_path) else {
-            eprintln!("no report at {}", report_path.display());
-            return ExitCode::FAILURE;
-        };
-        let Ok(preds) = std::fs::read(&preds_path) else {
-            eprintln!("no predictions at {}", preds_path.display());
-            return ExitCode::FAILURE;
-        };
+            ],
+            &target.join(format!("serve-{workers}w.txt")),
+        )?;
+        let preds = std::fs::read(&preds_path)
+            .map_err(|e| format!("no predictions at {}: {e}", preds_path.display()))?;
         reports.push((workers, kv, preds));
     }
 
-    let get_f64 = |kv: &std::collections::BTreeMap<String, String>, key: &str| {
-        kv.get(key).and_then(|v| v.parse::<f64>().ok())
-    };
+    let get_f64 = |kv: &Report, key: &str| kv.get(key).and_then(|v| v.parse::<f64>().ok());
     let mut table = String::new();
     table.push_str(&format!(
         "serve-report — {requests} requests through the hybrid 8T-6T serving layer\n\n"
@@ -625,12 +545,7 @@ fn serve_report(args: &[String]) -> ExitCode {
         if identical { "IDENTICAL" } else { "DIVERGED" },
     ));
 
-    print!("{table}");
-    if let Err(e) = std::fs::write(&out_path, &table) {
-        eprintln!("could not write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("serve report written to {out_path}");
+    emit_table(&table, &out_path, "serve")?;
 
     if gate {
         let mut failed = false;
@@ -678,11 +593,11 @@ fn serve_report(args: &[String]) -> ExitCode {
             }
         }
         if failed {
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         println!("serve-load gate passed: predictions identical, 4-worker speedup {speedup:.2}x");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The resilience counters `chaos-report` requires to be bit-identical
@@ -707,78 +622,33 @@ const CHAOS_INVARIANT_KEYS: &[&str] = &[
     "governor_boosts",
 ];
 
-fn chaos_report(args: &[String]) -> ExitCode {
+fn chaos_report(args: &[String]) -> TaskResult {
     let mut gate = false;
     let mut requests = 512usize;
     let mut out_path = "target/chaos-report.txt".to_string();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--gate" => gate = true,
-            "--requests" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => requests = n,
-                _ => {
-                    eprintln!("--requests requires a positive count");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--out" => match it.next() {
-                Some(p) => out_path = p.clone(),
-                None => {
-                    eprintln!("--out requires a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("unknown chaos-report argument: {other}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    Flags::default()
+        .switch("--gate", &mut gate)
+        .value("--requests", &mut requests, |&n| n > 0)
+        .value("--out", &mut out_path, |_| true)
+        .parse(args.iter().cloned())?;
 
-    let cwd = std::env::current_dir().unwrap_or_default();
-    let target = cwd.join("target");
-    let _ = std::fs::create_dir_all(&target);
+    let target = target_dir();
     let worker_counts = [1usize, 4];
     let mut reports = Vec::new();
     for &workers in &worker_counts {
-        let report_path = target.join(format!("chaos-{workers}w.txt"));
-        let _ = std::fs::remove_file(&report_path);
         eprintln!("running serve_bench --chaos at {workers} worker(s)...");
-        let status = Command::new(env!("CARGO"))
-            .args([
-                "run",
-                "--release",
-                "-q",
-                "-p",
-                "sram_serve",
-                "--bin",
-                "serve_bench",
-                "--",
+        let kv = run_bin_report(
+            "sram_serve",
+            "serve_bench",
+            &[
                 "--chaos",
                 "--requests",
                 &requests.to_string(),
                 "--threads",
                 &workers.to_string(),
-                "--report",
-                &report_path.display().to_string(),
-            ])
-            .status();
-        match status {
-            Ok(s) if s.success() => {}
-            Ok(s) => {
-                eprintln!("serve_bench --chaos failed at {workers} workers: {s}");
-                return ExitCode::FAILURE;
-            }
-            Err(e) => {
-                eprintln!("could not launch serve_bench: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        let Some(kv) = read_kv_report(&report_path) else {
-            eprintln!("no report at {}", report_path.display());
-            return ExitCode::FAILURE;
-        };
+            ],
+            &target.join(format!("chaos-{workers}w.txt")),
+        )?;
         reports.push((workers, kv));
     }
 
@@ -832,12 +702,7 @@ fn chaos_report(args: &[String]) -> ExitCode {
         },
     ));
 
-    print!("{table}");
-    if let Err(e) = std::fs::write(&out_path, &table) {
-        eprintln!("could not write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("chaos report written to {out_path}");
+    emit_table(&table, &out_path, "chaos")?;
 
     if gate {
         let mut failed = false;
@@ -894,14 +759,14 @@ fn chaos_report(args: &[String]) -> ExitCode {
             }
         }
         if failed {
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         println!(
             "chaos gate passed: decisions identical across workers, protected run held \
              the accuracy and p99 bounds, unprotected run measurably failed"
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The three `net_bench` runs `net-report` drives: two sub-saturation
@@ -937,59 +802,24 @@ const NET_RUNS: &[NetRun] = &[
     },
 ];
 
-fn net_report(args: &[String]) -> ExitCode {
+fn net_report(args: &[String]) -> TaskResult {
     let mut gate = false;
     let mut requests = 256usize;
     let mut rate = 600.0f64;
     let mut slo_ms = NET_SLO_MS;
     let mut out_path = "target/net-report.txt".to_string();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--gate" => gate = true,
-            "--requests" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => requests = n,
-                _ => {
-                    eprintln!("--requests requires a positive count");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--rate" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(r) if r > 0.0 && r.is_finite() => rate = r,
-                _ => {
-                    eprintln!("--rate requires a positive requests/second figure");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--slo-ms" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(x) if x > 0.0 && x.is_finite() => slo_ms = x,
-                _ => {
-                    eprintln!("--slo-ms requires a positive millisecond bound");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--out" => match it.next() {
-                Some(p) => out_path = p.clone(),
-                None => {
-                    eprintln!("--out requires a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("unknown net-report argument: {other}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    Flags::default()
+        .switch("--gate", &mut gate)
+        .value("--requests", &mut requests, |&n| n > 0)
+        .value("--rate", &mut rate, |&r| r > 0.0 && r.is_finite())
+        .value("--slo-ms", &mut slo_ms, |&x| x > 0.0 && x.is_finite())
+        .value("--out", &mut out_path, |_| true)
+        .parse(args.iter().cloned())?;
 
-    let cwd = std::env::current_dir().unwrap_or_default();
-    let target = cwd.join("target");
-    let _ = std::fs::create_dir_all(&target);
+    let target = target_dir();
     let mut reports = Vec::new();
     for run in NET_RUNS {
         let run_rate = run.rate.unwrap_or(rate);
-        let report_path = target.join(format!("net-{}.txt", run.label.replace('/', "-")));
-        let _ = std::fs::remove_file(&report_path);
         eprintln!(
             "running net_bench {} ({} req, rate {}, {} connections)...",
             run.label,
@@ -1001,50 +831,33 @@ fn net_report(args: &[String]) -> ExitCode {
             },
             run.connections
         );
-        let mut cmd = Command::new(env!("CARGO"));
-        cmd.args([
-            "run",
-            "--release",
-            "-q",
-            "-p",
-            "sram_net",
-            "--bin",
-            "net_bench",
-            "--",
+        let (requests_arg, rate_arg, connections_arg) = (
+            requests.to_string(),
+            run_rate.to_string(),
+            run.connections.to_string(),
+        );
+        let mut bin_args = vec![
             "--tenants",
             "2",
             "--requests",
-            &requests.to_string(),
+            &requests_arg,
             "--rate",
-            &run_rate.to_string(),
+            &rate_arg,
             "--connections",
-            &run.connections.to_string(),
-            "--report",
-            &report_path.display().to_string(),
-        ]);
-        cmd.args(run.extra);
-        match cmd.status() {
-            Ok(s) if s.success() => {}
-            Ok(s) => {
-                eprintln!("net_bench {} failed: {s}", run.label);
-                return ExitCode::FAILURE;
-            }
-            Err(e) => {
-                eprintln!("could not launch net_bench: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        let Some(kv) = read_kv_report(&report_path) else {
-            eprintln!("no report at {}", report_path.display());
-            return ExitCode::FAILURE;
-        };
+            &connections_arg,
+        ];
+        bin_args.extend(run.extra);
+        let kv = run_bin_report(
+            "sram_net",
+            "net_bench",
+            &bin_args,
+            &target.join(format!("net-{}.txt", run.label.replace('/', "-"))),
+        )?;
         reports.push((run, kv));
     }
 
-    let get_f64 = |kv: &std::collections::BTreeMap<String, String>, key: &str| {
-        kv.get(key).and_then(|v| v.parse::<f64>().ok())
-    };
-    fn get_str<'a>(kv: &'a std::collections::BTreeMap<String, String>, key: &str) -> &'a str {
+    let get_f64 = |kv: &Report, key: &str| kv.get(key).and_then(|v| v.parse::<f64>().ok());
+    fn get_str<'a>(kv: &'a Report, key: &str) -> &'a str {
         kv.get(key).map(String::as_str).unwrap_or("-")
     }
     let mut table = String::new();
@@ -1100,12 +913,7 @@ fn net_report(args: &[String]) -> ExitCode {
         get_str(&burst.1, "drowsy_served"),
     ));
 
-    print!("{table}");
-    if let Err(e) = std::fs::write(&out_path, &table) {
-        eprintln!("could not write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("net report written to {out_path}");
+    emit_table(&table, &out_path, "net")?;
 
     if gate {
         let mut failed = false;
@@ -1173,14 +981,14 @@ fn net_report(args: &[String]) -> ExitCode {
             failed = true;
         }
         if failed {
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         println!(
             "net gate passed: digests identical across connection counts, zero shed at \
              {rate:.0}/s, sojourn p99 within {slo_ms} ms, burst probe shed explicitly"
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Worker counts `gen-report` sweeps the design space at; every digest in
@@ -1191,53 +999,24 @@ const GEN_THREADS: &[usize] = &[1, 4];
 /// Random specs per `gen-report` run (the issue's sweep floor).
 const GEN_RANDOM_SPECS: usize = 8;
 
-fn gen_report(args: &[String]) -> ExitCode {
+fn gen_report(args: &[String]) -> TaskResult {
     let mut gate = false;
     let mut out_path = "target/gen-report.txt".to_string();
     let mut random = GEN_RANDOM_SPECS;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--gate" => gate = true,
-            "--random" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => random = n,
-                _ => {
-                    eprintln!("--random requires a positive count");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--out" => match it.next() {
-                Some(p) => out_path = p.clone(),
-                None => {
-                    eprintln!("--out requires a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("unknown gen-report argument: {other}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    Flags::default()
+        .switch("--gate", &mut gate)
+        .value("--random", &mut random, |&n| n > 0)
+        .value("--out", &mut out_path, |_| true)
+        .parse(args.iter().cloned())?;
 
-    let cwd = std::env::current_dir().unwrap_or_default();
-    let target = cwd.join("target");
-    let _ = std::fs::create_dir_all(&target);
+    let target = target_dir();
     let mut reports = Vec::new();
     for &threads in GEN_THREADS {
-        let report_path = target.join(format!("gen-report-{threads}t.txt"));
-        let _ = std::fs::remove_file(&report_path);
         eprintln!("sweeping the design space ({random} random specs, {threads} worker threads)...");
-        let status = Command::new(env!("CARGO"))
-            .args([
-                "run",
-                "--release",
-                "-q",
-                "-p",
-                "sram_gen",
-                "--bin",
-                "gen_report",
-                "--",
+        let kv = run_bin_report(
+            "sram_gen",
+            "gen_report",
+            &[
                 "--specs-dir",
                 "crates/gen/specs",
                 "--corpus-dir",
@@ -1246,25 +1025,9 @@ fn gen_report(args: &[String]) -> ExitCode {
                 &random.to_string(),
                 "--threads",
                 &threads.to_string(),
-                "--report",
-                &report_path.display().to_string(),
-            ])
-            .status();
-        match status {
-            Ok(s) if s.success() => {}
-            Ok(s) => {
-                eprintln!("gen_report ({threads} threads) failed: {s}");
-                return ExitCode::FAILURE;
-            }
-            Err(e) => {
-                eprintln!("could not launch gen_report: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        let Some(kv) = read_kv_report(&report_path) else {
-            eprintln!("no report at {}", report_path.display());
-            return ExitCode::FAILURE;
-        };
+            ],
+            &target.join(format!("gen-report-{threads}t.txt")),
+        )?;
         reports.push((threads, kv));
     }
 
@@ -1324,12 +1087,7 @@ fn gen_report(args: &[String]) -> ExitCode {
         },
     ));
 
-    print!("{table}");
-    if let Err(e) = std::fs::write(&out_path, &table) {
-        eprintln!("could not write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("gen report written to {out_path}");
+    emit_table(&table, &out_path, "gen")?;
 
     if gate {
         let mut failed = false;
@@ -1392,12 +1150,12 @@ fn gen_report(args: &[String]) -> ExitCode {
             }
         }
         if failed {
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         println!(
             "design-space gate passed: every spec built and characterized, digests \
              identical across worker counts, paper fixture matched, corpus fully rejected"
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
