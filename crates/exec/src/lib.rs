@@ -24,7 +24,7 @@
 //!
 //! Worker count resolves as: explicit [`set_threads`] override →
 //! `SRAM_REPRO_THREADS` environment variable → the machine's available
-//! parallelism. Nested `par_map` calls run sequentially on the worker they
+//! parallelism, clamped by [`resolve_workers`] for every pool and server. Nested `par_map` calls run sequentially on the worker they
 //! land on (no thread explosion, same results), so layers can parallelize
 //! independently without coordinating: the outermost fan-out wins the
 //! threads.
@@ -39,6 +39,8 @@
 //! the workspace shares live here too: the strict flag parser in [`cli`]
 //! and the FNV-1a fold in [`digest`].
 
+#![warn(missing_docs)]
+
 pub mod cache;
 pub mod cli;
 pub mod digest;
@@ -48,7 +50,10 @@ pub mod seed;
 pub use cache::MemoCache;
 pub use cli::{strip_threads_flag, Flags};
 pub use digest::{fnv1a, fnv1a_u64, FNV_OFFSET};
-pub use pool::{clear_threads, effective_threads, par_map, par_map_indexed, set_threads};
+pub use pool::{
+    clear_threads, effective_threads, par_map, par_map_indexed, resolve_workers, run_workers,
+    set_threads,
+};
 pub use seed::derive_seed;
 
 /// Serializes tests that mutate the process-global worker-count override.

@@ -61,6 +61,18 @@ pub fn effective_threads() -> usize {
         .unwrap_or(1)
 }
 
+/// The worker count a pool or server asked for `requested` workers runs:
+/// 0 resolves to [`effective_threads`], and the result is clamped to
+/// `[1, 256]`. The exec pool and both serving tiers size their
+/// workers through this one function.
+pub fn resolve_workers(requested: usize) -> usize {
+    match requested {
+        0 => effective_threads(),
+        n => n,
+    }
+    .clamp(1, MAX_WORKERS)
+}
+
 /// Maps `f` over `0..n` on the worker pool and returns the results in index
 /// order.
 ///
@@ -82,42 +94,53 @@ where
     U: Send,
     F: Fn(usize) -> U + Sync,
 {
-    let workers = effective_threads().min(n).min(MAX_WORKERS);
+    let workers = resolve_workers(0).min(n);
     if workers <= 1 || IN_POOL.get() {
         return (0..n).map(f).collect();
     }
 
     let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<U>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
+    let per_worker = run_workers(workers, |_| {
+        IN_POOL.set(true);
+        let mut local = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break local;
+            }
+            local.push((i, f(i)));
+        }
+    });
+    let mut slots: Vec<Option<U>> = (0..n).map(|_| None).collect();
+    for (i, value) in per_worker.into_iter().flatten() {
+        slots[i] = Some(value);
+    }
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("pool visits every index"))
+        .collect()
+}
+
+/// Runs `f(w)` for `w` in `0..workers`, each on its own scoped thread,
+/// and returns the results in worker order.
+///
+/// # Panics
+///
+/// Propagates the first worker panic once every worker has joined
+/// (unwinding past live workers would abort the process in `scope`).
+pub fn run_workers<U, F>(workers: usize, f: F) -> Vec<U>
+where
+    U: Send,
+    F: Fn(usize) -> U + Sync,
+{
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    IN_POOL.set(true);
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, f(i)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        // Join every worker before propagating a panic: resuming the unwind
-        // with workers still running would make `scope` observe their
-        // panics during the unwind and abort the process (panic-in-panic).
+        let f = &f;
+        let handles: Vec<_> = (0..workers).map(|w| scope.spawn(move || f(w))).collect();
+        let mut results = Vec::with_capacity(workers);
         let mut first_panic = None;
         for handle in handles {
             match handle.join() {
-                Ok(pairs) => {
-                    for (i, value) in pairs {
-                        slots[i] = Some(value);
-                    }
-                }
+                Ok(value) => results.push(value),
                 Err(payload) => {
                     first_panic.get_or_insert(payload);
                 }
@@ -126,11 +149,8 @@ where
         if let Some(payload) = first_panic {
             std::panic::resume_unwind(payload);
         }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("pool visits every index"))
-        .collect()
+        results
+    })
 }
 
 /// Maps `f` over a slice on the worker pool, preserving input order.
@@ -192,6 +212,18 @@ mod tests {
         let out = par_map_indexed(300, |i| i + 1);
         clear_threads();
         assert_eq!(out, (1..=300).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn resolve_workers_defaults_and_clamps() {
+        let _gate = exclusive();
+        set_threads(3);
+        assert_eq!(resolve_workers(0), 3);
+        assert_eq!(resolve_workers(5), 5);
+        set_threads(100_000);
+        assert_eq!(resolve_workers(0), MAX_WORKERS);
+        clear_threads();
+        assert_eq!(resolve_workers(100_000), MAX_WORKERS);
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! * [`server`] + [`loadgen`] — the evented IO loop with backpressure
 //!   (per-connection and global in-flight bounds → explicit `Overloaded`
 //!   shedding; a soft watermark that degrades tenants to their drowsy
-//!   retention tier) and the open-loop load generator that measures
-//!   sojourn time against a seeded arrival schedule instead of a closed
-//!   loop.
+//!   retention tier) feeding workers on `sram_serve`'s micro-batch
+//!   scheduler, and the open-loop load generator that measures sojourn
+//!   time against a seeded arrival schedule instead of a closed loop.
 //!
 //! **Determinism contract.** Tenant `t`, request `id` draws faults from
 //! `derive_seed(derive_seed(base_seed, t), id)`. Same seed + same request

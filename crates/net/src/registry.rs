@@ -229,15 +229,17 @@ impl ModelRegistry {
         self.tenants[tenant].system.input_width()
     }
 
-    /// Weight + bias words one inference of this tenant reads.
-    pub fn reads_per_inference(&self, tenant: usize) -> u64 {
-        self.tenants[tenant].system.reads_per_inference() as u64
+    /// The tenant's resident system and the root of its seed stream:
+    /// request `id` of the tenant draws `derive_seed(seed, id)`.
+    pub(crate) fn tenant(&self, tenant: usize) -> (&NeuromorphicSystem, u64) {
+        let t = &self.tenants[tenant];
+        (&t.system, t.seed)
     }
 
     /// A warm, pre-sized context for the tenant's network.
     pub fn make_context(&self, tenant: usize) -> InferContext {
-        let t = &self.tenants[tenant];
-        t.system.make_context(t.seed, 0)
+        let (system, seed) = self.tenant(tenant);
+        system.make_context(seed, 0)
     }
 
     /// Classifies `features` as request `request_id` of tenant `tenant`;
@@ -256,10 +258,9 @@ impl ModelRegistry {
         request_id: u64,
         ctx: &mut InferContext,
     ) -> (usize, u64) {
-        let t = &self.tenants[tenant];
-        ctx.reset(t.seed, request_id);
-        let prediction = t.system.classify_request(features, ctx);
-        (prediction, ctx.fault_bits())
+        let (system, seed) = self.tenant(tenant);
+        ctx.reset(seed, request_id);
+        (system.classify_request(features, ctx), ctx.fault_bits())
     }
 }
 

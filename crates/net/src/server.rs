@@ -1,24 +1,30 @@
 //! The evented TCP front door: non-blocking sockets, a readiness loop,
-//! and SLO-aware admission over the worker pool.
+//! and SLO-aware admission in front of `sram_serve`'s scheduler.
 //!
 //! # Architecture
 //!
 //! ```text
-//! clients ──TCP──▶ IO thread ──admit──▶ job queue ──▶ worker 0..W ─┐
-//!                  │  (accept, frame     (Mutex +                  │
-//!                  │   decode, shed/     Condvar,   ModelRegistry::classify
-//!                  │   degrade, write    bounded)   (&self, per-request ctx)
-//!                  │   buffers, timeouts)                          │
-//!                  ◀──────────── results channel (mpsc) ───────────┤
-//!                  ◀──────────── wake socket (1 byte) ─────────────┘
+//! clients ──TCP──▶ IO thread ──push──▶ BatchQueue ──pop_batch──▶ worker 0..W
+//!                  (accept, frame      (sram_serve   (adaptive        │ split into
+//!                   decode, shed/       scheduler)    micro-batch)    │ same-tenant runs
+//!                   degrade, write                                    ▼
+//!                   buffers, timeouts)   classify_micro_batch(tenant system, seed)
+//!                  ▲                                                  │
+//!                  ├───────────── results channel (mpsc) ◀────────────┤
+//!                  └───────────── wake socket (1 byte) ◀──────────────┘
 //! ```
 //!
 //! One IO thread owns every socket: it accepts, reads into
 //! per-connection [`FrameDecoder`]s, makes the admission decision, drains
 //! worker results into per-connection write buffers, and enforces the
-//! timeouts. Workers never touch a client socket; they pull jobs, classify
-//! on the shared registry, send results back over an `mpsc` channel, and
-//! then write one byte to a wake socket.
+//! timeouts. Workers never touch a client socket. They run on
+//! `sram_serve`'s scheduler, the one the closed-batch `InferenceServer`
+//! uses: each pops an adaptive micro-batch off the shared [`BatchQueue`],
+//! splits it into runs of consecutive same-tenant jobs, and classifies
+//! each run with [`classify_micro_batch`] on that tenant's system and
+//! seed stream. On a read-fault-free store a run shares one row fetch per
+//! neuron. Per request, a worker sends the result back over an `mpsc`
+//! channel and writes one byte to a wake socket.
 //!
 //! When a pass over the sockets moves nothing, the IO thread blocks in
 //! `poll(2)` (Linux) on the wake socket, the listener, every connection
@@ -53,14 +59,12 @@ use crate::proto::{
     RequestBody, Response, Status,
 };
 use crate::registry::ModelRegistry;
-use neuro_system::controller::InferContext;
-use sram_serve::LatencyHistogram;
-use std::collections::VecDeque;
+use sram_serve::{classify_micro_batch, BatchQueue, LatencyHistogram};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -74,8 +78,8 @@ use std::os::unix::net::UnixStream;
 pub struct NetServerOptions {
     /// Address to bind; `127.0.0.1:0` picks a free port.
     pub bind_addr: String,
-    /// Worker threads; 0 resolves like the exec pool
-    /// ([`sram_exec::effective_threads`]).
+    /// Worker threads; 0 = the exec pool default. [`sram_exec::resolve_workers`]
+    /// resolves and clamps the count.
     pub workers: usize,
     /// Global in-flight hard cap: beyond it classify requests are shed
     /// with [`Status::Overloaded`].
@@ -111,9 +115,6 @@ impl Default for NetServerOptions {
     }
 }
 
-/// Hard ceiling on worker threads (same guard as the serve layer).
-const MAX_WORKERS: usize = 256;
-
 /// Longest idle wait: how often the slow-loris, stuck-writer and stop
 /// deadlines are checked when no socket or worker wakes the IO thread.
 #[cfg(target_os = "linux")]
@@ -129,7 +130,7 @@ const IDLE_TICK: Duration = Duration::from_micros(100);
 const STOP_DEADLINE: Duration = Duration::from_secs(10);
 
 /// Per-tenant serving metrics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TenantReport {
     /// Tenant display name.
     pub name: String,
@@ -280,6 +281,13 @@ struct Job {
     drowsy: bool,
 }
 
+impl Job {
+    /// The job's request id and features, as the batch datapath reads them.
+    fn request(&self) -> (u64, &[f32]) {
+        (self.request_id, &self.features)
+    }
+}
+
 /// A finished classify job, routed back to its connection.
 struct Done {
     slot: usize,
@@ -288,16 +296,10 @@ struct Done {
     request_id: u64,
     prediction: u16,
     fault_bits: u64,
+    words_read: u64,
     queue_ns: u64,
     service_ns: u64,
     drowsy: bool,
-}
-
-/// Job queue shared between the IO thread and the workers.
-#[derive(Default)]
-struct JobQueue {
-    jobs: VecDeque<Job>,
-    shutdown: bool,
 }
 
 /// One connection's state, owned by the IO thread.
@@ -328,6 +330,15 @@ impl Conn {
             self.out_pos = 0;
         }
         self.out.extend_from_slice(&encode_response(resp));
+    }
+
+    /// Queues a response that carries no classify reply.
+    fn reply(&mut self, status: Status, request_id: u64) {
+        self.queue_response(&Response {
+            status,
+            request_id,
+            reply: None,
+        });
     }
 
     fn pending_out(&self) -> usize {
@@ -475,9 +486,6 @@ mod sys {
 struct TenantState {
     report: TenantReport,
     drowsy: bool,
-    drowsy_scale: f64,
-    energy_per_inference_j: f64,
-    words_per_inference: u64,
     input_width: usize,
 }
 
@@ -485,44 +493,23 @@ fn run_server(
     listener: TcpListener,
     mut idle: IdleWait,
     waker: &Waker,
-    registry: &Arc<ModelRegistry>,
+    registry: &ModelRegistry,
     options: &NetServerOptions,
     stop: &AtomicBool,
 ) -> NetReport {
     let started = Instant::now();
-    let workers = if options.workers > 0 {
-        options.workers
-    } else {
-        sram_exec::effective_threads()
-    }
-    .clamp(1, MAX_WORKERS);
-    let queue = Arc::new((Mutex::new(JobQueue::default()), Condvar::new()));
+    let workers = sram_exec::resolve_workers(options.workers);
+    let queue = BatchQueue::new(workers, sram_serve::DEFAULT_MAX_BATCH);
     let (done_tx, done_rx) = mpsc::channel::<Done>();
 
     let mut tenants: Vec<TenantState> = (0..registry.len())
-        .map(|t| {
-            let spec = registry.spec(t);
-            TenantState {
-                report: TenantReport {
-                    name: spec.name.clone(),
-                    served: 0,
-                    shed: 0,
-                    drowsy_served: 0,
-                    degrade_events: 0,
-                    queue: LatencyHistogram::new(),
-                    service: LatencyHistogram::new(),
-                    fault_bits: 0,
-                    words_read: 0,
-                    energy_j: 0.0,
-                    standby_scale: 1.0,
-                    digest: 0,
-                },
-                drowsy: false,
-                drowsy_scale: spec.drowsy_scale,
-                energy_per_inference_j: spec.energy_per_inference_j,
-                words_per_inference: registry.reads_per_inference(t),
-                input_width: registry.input_width(t),
-            }
+        .map(|t| TenantState {
+            report: TenantReport {
+                name: registry.spec(t).name.clone(),
+                ..TenantReport::default()
+            },
+            drowsy: false,
+            input_width: registry.input_width(t),
         })
         .collect();
     let mut conns: Vec<Option<Conn>> = Vec::new();
@@ -535,18 +522,11 @@ fn run_server(
 
     std::thread::scope(|scope| {
         for w in 0..workers {
-            let queue = Arc::clone(&queue);
-            let done_tx = done_tx.clone();
-            let registry = Arc::clone(registry);
-            let waker = waker.clone();
             std::thread::Builder::new()
                 .name(format!("sram-net-worker-{w}"))
-                .spawn_scoped(scope, move || {
-                    worker_loop(&registry, &queue, &done_tx, &waker);
-                })
+                .spawn_scoped(scope, || worker_loop(registry, &queue, &done_tx, waker))
                 .expect("spawn worker");
         }
-        drop(done_tx);
 
         let mut read_buf = [0u8; 8192];
         loop {
@@ -626,11 +606,7 @@ fn run_server(
                     match conn.decoder.next_frame() {
                         Err(oversized) => {
                             bad_frames += 1;
-                            conn.queue_response(&Response {
-                                status: Status::FrameTooLarge,
-                                request_id: oversized.declared as u64,
-                                reply: None,
-                            });
+                            conn.reply(Status::FrameTooLarge, oversized.declared as u64);
                             conn.closing = true;
                             break;
                         }
@@ -640,11 +616,7 @@ fn run_server(
                             match decode_request(&payload) {
                                 Err(_) => {
                                     bad_frames += 1;
-                                    conn.queue_response(&Response {
-                                        status: Status::BadRequest,
-                                        request_id: 0,
-                                        reply: None,
-                                    });
+                                    conn.reply(Status::BadRequest, 0);
                                 }
                                 Ok(req) => handle_request(
                                     req,
@@ -671,8 +643,8 @@ fn run_server(
                 state.report.queue.record(done.queue_ns);
                 state.report.service.record(done.service_ns);
                 state.report.fault_bits += done.fault_bits;
-                state.report.words_read += state.words_per_inference;
-                state.report.energy_j += state.energy_per_inference_j;
+                state.report.words_read += done.words_read;
+                state.report.energy_j += registry.spec(done.tenant).energy_per_inference_j;
                 if done.drowsy {
                     state.report.drowsy_served += 1;
                 }
@@ -766,18 +738,14 @@ fn run_server(
         }
 
         // Tear the workers down.
-        {
-            let (lock, cvar) = &*queue;
-            lock.lock().unwrap_or_else(|e| e.into_inner()).shutdown = true;
-            cvar.notify_all();
-        }
+        queue.close();
         // Scoped threads join here; drain any results that raced the stop.
         while done_rx.try_recv().is_ok() {}
     });
 
-    for state in tenants.iter_mut() {
+    for (t, state) in tenants.iter_mut().enumerate() {
         state.report.standby_scale = if state.drowsy {
-            state.drowsy_scale
+            registry.spec(t).drowsy_scale
         } else {
             1.0
         };
@@ -802,45 +770,29 @@ fn handle_request(
     inflight: &mut usize,
     pings: &mut u64,
     options: &NetServerOptions,
-    queue: &Arc<(Mutex<JobQueue>, Condvar)>,
+    queue: &BatchQueue<Job>,
 ) {
     let features = match req.body {
         RequestBody::Ping => {
             *pings += 1;
-            conn.queue_response(&Response {
-                status: Status::Ok,
-                request_id: req.request_id,
-                reply: None,
-            });
+            conn.reply(Status::Ok, req.request_id);
             return;
         }
         RequestBody::Classify(features) => features,
     };
     let tenant = req.tenant as usize;
     if tenant >= tenants.len() {
-        conn.queue_response(&Response {
-            status: Status::UnknownTenant,
-            request_id: req.request_id,
-            reply: None,
-        });
+        conn.reply(Status::UnknownTenant, req.request_id);
         return;
     }
     let state = &mut tenants[tenant];
     if features.len() != state.input_width {
-        conn.queue_response(&Response {
-            status: Status::BadRequest,
-            request_id: req.request_id,
-            reply: None,
-        });
+        conn.reply(Status::BadRequest, req.request_id);
         return;
     }
     if *inflight >= options.global_inflight || conn.inflight >= options.per_conn_inflight {
         state.report.shed += 1;
-        conn.queue_response(&Response {
-            status: Status::Overloaded,
-            request_id: req.request_id,
-            reply: None,
-        });
+        conn.reply(Status::Overloaded, req.request_id);
         return;
     }
     // Soft overload: degrade this tenant to its drowsy retention tier,
@@ -852,7 +804,7 @@ fn handle_request(
     }
     *inflight += 1;
     conn.inflight += 1;
-    let job = Job {
+    queue.push([Job {
         slot,
         gen: conn.gen,
         tenant,
@@ -860,60 +812,39 @@ fn handle_request(
         features,
         admitted: Instant::now(),
         drowsy: state.drowsy,
-    };
-    let (lock, cvar) = &**queue;
-    lock.lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .jobs
-        .push_back(job);
-    cvar.notify_one();
+    }]);
 }
 
+/// Pops micro-batches and classifies each run of consecutive same-tenant
+/// jobs on that tenant's system, reporting every job as it finishes. One
+/// scratch context set serves every tenant: each request re-arms it.
 fn worker_loop(
     registry: &ModelRegistry,
-    queue: &Arc<(Mutex<JobQueue>, Condvar)>,
+    queue: &BatchQueue<Job>,
     done_tx: &mpsc::Sender<Done>,
     waker: &Waker,
 ) {
-    // One warm context per tenant; `classify` re-arms the RNG per request,
-    // so reuse is invisible to the outputs.
-    let mut ctxs: Vec<Option<InferContext>> = (0..registry.len()).map(|_| None).collect();
-    let (lock, cvar) = &**queue;
-    loop {
-        let job = {
-            let mut q = lock.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(job) = q.jobs.pop_front() {
-                    break job;
-                }
-                if q.shutdown {
-                    return;
-                }
-                q = cvar.wait(q).unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        let popped = Instant::now();
-        let queue_ns = popped.duration_since(job.admitted).as_nanos() as u64;
-        let ctx = ctxs[job.tenant].get_or_insert_with(|| registry.make_context(job.tenant));
-        let (prediction, fault_bits) =
-            registry.classify(job.tenant, &job.features, job.request_id, ctx);
-        let service_ns = popped.elapsed().as_nanos() as u64;
-        if done_tx
-            .send(Done {
-                slot: job.slot,
-                gen: job.gen,
-                tenant: job.tenant,
-                request_id: job.request_id,
-                prediction: prediction as u16,
-                fault_bits,
-                queue_ns,
-                service_ns,
-                drowsy: job.drowsy,
-            })
-            .is_err()
-        {
-            return;
+    let mut ctxs = Vec::new();
+    let mut batch = Vec::new();
+    while queue.pop_batch(&mut batch) {
+        for run in batch.chunk_by(|a, b| a.tenant == b.tenant) {
+            let (system, seed) = registry.tenant(run[0].tenant);
+            classify_micro_batch(system, seed, run, Job::request, &mut ctxs, |job, done| {
+                // The receiver outlives the worker scope: sends cannot fail.
+                let _ = done_tx.send(Done {
+                    slot: job.slot,
+                    gen: job.gen,
+                    tenant: job.tenant,
+                    request_id: job.request_id,
+                    prediction: done.prediction as u16,
+                    fault_bits: done.fault_bits,
+                    words_read: done.words_read,
+                    queue_ns: done.started.duration_since(job.admitted).as_nanos() as u64,
+                    service_ns: (done.finished - done.started).as_nanos() as u64,
+                    drowsy: job.drowsy,
+                });
+                waker.wake();
+            });
         }
-        waker.wake();
     }
 }

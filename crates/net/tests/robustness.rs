@@ -9,8 +9,8 @@ use neural::quant::{Encoding, QuantizedMlp};
 use proptest::prelude::*;
 use sram_net::loadgen::{self, LoadOptions, TenantStream};
 use sram_net::proto::{
-    decode_request, decode_response, encode_request, FrameDecoder, Request, RequestBody, Status,
-    MAX_FEATURES,
+    decode_request, decode_response, encode_request, response_mix, FrameDecoder, Request,
+    RequestBody, Status, MAX_FEATURES,
 };
 use sram_net::registry::{ModelRegistry, TenantSpec};
 use sram_net::server::{self, NetServerOptions, RunningServer};
@@ -36,15 +36,25 @@ fn tiny_spec(name: &str, shape: &[usize], seed: u64, read_6t: f64) -> TenantSpec
     }
 }
 
-fn tiny_registry(base_seed: u64) -> Arc<ModelRegistry> {
+fn two_tenants(base_seed: u64, read_6t: [f64; 2]) -> Arc<ModelRegistry> {
     Arc::new(ModelRegistry::new(
         vec![
-            tiny_spec("alpha", &[12, 8, 4], 1, 0.02),
-            tiny_spec("beta", &[9, 6, 3], 2, 0.1),
+            tiny_spec("alpha", &[12, 8, 4], 1, read_6t[0]),
+            tiny_spec("beta", &[9, 6, 3], 2, read_6t[1]),
         ],
         base_seed,
         2,
     ))
+}
+
+fn tiny_registry(base_seed: u64) -> Arc<ModelRegistry> {
+    two_tenants(base_seed, [0.02, 0.1])
+}
+
+/// The tiny tenants with no read faults anywhere in the store, so every
+/// micro-batch of two or more requests takes the batch-amortized fetch.
+fn fault_free_registry(base_seed: u64) -> Arc<ModelRegistry> {
+    two_tenants(base_seed, [0.0, 0.0])
 }
 
 fn spawn_tiny(options: NetServerOptions) -> RunningServer {
@@ -420,11 +430,15 @@ fn burst_overload_sheds_explicitly_and_recovers() {
 
 #[test]
 fn digests_are_identical_across_connection_and_worker_counts() {
-    let run = |workers: usize, connections: usize| {
-        let server = spawn_tiny(NetServerOptions {
-            workers,
-            ..NetServerOptions::default()
-        });
+    let run = |registry: Arc<ModelRegistry>, workers: usize, connections: usize| {
+        let server = server::spawn(
+            registry,
+            NetServerOptions {
+                workers,
+                ..NetServerOptions::default()
+            },
+        )
+        .expect("bind loopback");
         let load = loadgen::run(
             server.addr(),
             &tiny_streams(),
@@ -445,7 +459,55 @@ fn digests_are_identical_across_connection_and_worker_counts() {
         assert!(load.residual.max_ns() <= load.sojourn.max_ns());
         (load.digest, load.fault_bits)
     };
-    let a = run(1, 1);
-    let b = run(4, 5);
+    let a = run(tiny_registry(77), 1, 1);
+    let b = run(tiny_registry(77), 4, 5);
     assert_eq!(a, b, "digest must not depend on workers or connections");
+    let c = run(fault_free_registry(77), 1, 1);
+    let d = run(fault_free_registry(77), 4, 5);
+    assert_eq!(
+        c, d,
+        "fault-free digest must not depend on workers or connections"
+    );
+    assert_eq!(c.1, 0, "a read-fault-free store injects no fault bits");
+}
+
+#[test]
+fn burst_on_a_fault_free_store_matches_sequential_classify() {
+    let registry = fault_free_registry(77);
+    let server = server::spawn(
+        Arc::clone(&registry),
+        NetServerOptions {
+            workers: 1,
+            ..NetServerOptions::default()
+        },
+    )
+    .expect("bind loopback");
+    let streams = tiny_streams();
+    let load = loadgen::run(
+        server.addr(),
+        &streams,
+        &LoadOptions {
+            rate: 0.0,
+            requests: 128,
+            connections: 2,
+            seed: 5,
+            drain_timeout: Duration::from_secs(20),
+        },
+    )
+    .expect("load run");
+    let report = server.stop();
+    assert_eq!(load.ok, 128, "default caps shed nothing at 128 in flight");
+    assert_eq!(load.fault_bits, 0);
+    // Loadgen's documented mapping: request `i` is stream `i % streams`,
+    // feature vector `(i / streams) % features`, request id `i`.
+    let mut ctx = registry.make_context(0);
+    let expected = (0..128u64).fold(0u64, |acc, id| {
+        let s = &streams[id as usize % streams.len()];
+        let features = &s.features[(id as usize / streams.len()) % s.features.len()];
+        let (prediction, fault_bits) = registry.classify(s.tenant.into(), features, id, &mut ctx);
+        assert_eq!(fault_bits, 0);
+        acc.wrapping_add(response_mix(s.tenant, id, prediction as u16, 0))
+    });
+    assert_eq!(load.digest, expected);
+    assert_eq!(report.digest(), expected);
 }

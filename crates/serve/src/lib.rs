@@ -2,8 +2,8 @@
 //!
 //! The ROADMAP's north star is a system that serves heavy traffic, not a
 //! single-shot simulator. This crate is the throughput layer over the
-//! paper's hybrid 8T-6T synaptic memory: an admission queue with adaptive
-//! micro-batching feeding shared-state workers, per-request seed streams so
+//! paper's hybrid 8T-6T synaptic memory: a micro-batch [`scheduler`] that
+//! both serving tiers share, per-request seed streams so
 //! fault injection under load replays the serving-Vdd bit-error rates
 //! bit-identically at any worker count, a per-significance-band drowsy
 //! voltage policy, and per-request metrics (latency histogram, energy per
@@ -12,9 +12,8 @@
 //! The pipeline (see [`server`] for the full diagram):
 //!
 //! ```text
-//! requests → admission queue → adaptive micro-batches → workers
-//!          → NeuromorphicSystem::classify_request(&self, …)
-//!          → ShardedMemory::read_row_shared(per-request RNG)
+//! requests → BatchQueue → adaptive micro-batches → workers
+//!          → classify_micro_batch → ShardedMemory row fetch
 //! ```
 //!
 //! **Determinism contract.** Request `id`'s randomness is
@@ -35,6 +34,7 @@ pub mod fixture;
 pub mod metrics;
 pub mod policy;
 pub mod resilience;
+pub mod scheduler;
 pub mod server;
 
 pub use metrics::{byte_digest, prediction_digest, LatencyHistogram};
@@ -45,4 +45,5 @@ pub use resilience::{
     apply_chaos_event, BerGovernorConfig, ResilienceConfig, ResilienceController,
     ResilienceCounters,
 };
+pub use scheduler::{classify_micro_batch, BatchQueue, Completion, DEFAULT_MAX_BATCH};
 pub use server::{InferenceServer, ServeOptions, ServeReport};

@@ -1,52 +1,42 @@
-//! The inference server: admission queue → adaptive micro-batcher →
-//! shared-state controller → synaptic memory.
-//!
-//! # Architecture
+//! The closed-batch inference server over `sram_serve`'s
+//! [`scheduler`](crate::scheduler), the one the net tier runs on too.
 //!
 //! ```text
-//!  requests ──▶ admission queue ──▶ worker 0 ─┐
-//!  (id 0..n)    (Mutex<VecDeque>)  worker 1 ─┼─▶ NeuromorphicSystem (&self)
-//!                    ▲             worker W ─┘     └─▶ ShardedMemory::read_shared
-//!                    │ adaptive micro-batch pop          (per-request RNG,
-//!                                                         shard-routed)
+//!  requests ──▶ BatchQueue ──pop_batch──▶ worker 0..W ──▶ classify_micro_batch
+//!  (id 0..n,    (filled,      (adaptive                    ├─ classify_batch
+//!   at t=0)      then closed)  micro-batch)                │  (read-fault-free)
+//!                                                          └─ classify_request
 //! ```
 //!
-//! Workers pull *micro-batches* off the queue instead of single requests:
-//! one lock acquisition admits up to [`ServeOptions::max_batch`] requests,
-//! and the batch shares one warm [`InferContext`] (scratch buffers persist,
-//! the RNG is re-seeded per request). The batch size adapts to backlog —
-//! `queue_len / (2·workers)`, clamped to `[1, max_batch]` — so a deep queue
-//! amortizes lock traffic while a draining queue falls back to single
-//! requests and keeps the stragglers balanced across workers.
+//! A pop admits `queue_len / (2·workers)` requests, clamped to
+//! `[1, max_batch]`: a deep queue amortizes lock traffic, a draining one
+//! falls back to single requests and keeps the stragglers balanced. On a
+//! read-fault-free store a batch shares one row fetch per neuron;
+//! otherwise its requests share one warm [`InferContext`].
 //!
 //! # Determinism
 //!
-//! The server follows the `sram_exec` design rules: request `id` draws its
-//! fault randomness from `derive_seed(base_seed, id)` (via
-//! [`InferContext::for_request`]/[`InferContext::reset`]) and results are
-//! collected into slots by `id`. Predictions are therefore **bit-identical
-//! at any worker count and any micro-batch size** — the property the
-//! `serve-load` CI job pins. Latency numbers are wall-clock and obviously
-//! *not* deterministic; only their aggregation (histogram merge) is
-//! order-invariant.
+//! Request `id` draws its fault randomness from `derive_seed(base_seed,
+//! id)` (via [`InferContext::reset`]) and results are slotted by `id`, so
+//! predictions are **bit-identical at any worker count and any micro-batch
+//! size** — the property the `serve-load` CI job pins. Latencies are wall
+//! clock; only their aggregation (histogram merge) is order-invariant.
 
 use crate::metrics::{prediction_digest, LatencyHistogram};
 use crate::policy::DrowsyPlan;
 use crate::resilience::{ResilienceController, ResilienceCounters};
+use crate::scheduler::{classify_micro_batch, BatchQueue, DEFAULT_MAX_BATCH};
 use fault_inject::model::WORD_BITS;
 use neuro_system::controller::{InferContext, NeuromorphicSystem};
 use neuro_system::energy::SystemEnergyReport;
 use sram_device::units::Watt;
-use std::collections::VecDeque;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Serving knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeOptions {
-    /// Worker threads; 0 resolves like the exec pool
-    /// ([`sram_exec::effective_threads`]: `set_threads` override →
-    /// `SRAM_REPRO_THREADS` → available parallelism).
+    /// Worker threads; 0 = the exec pool default. [`sram_exec::resolve_workers`]
+    /// resolves and clamps the count.
     pub workers: usize,
     /// Micro-batch ceiling per queue pop.
     pub max_batch: usize,
@@ -58,23 +48,10 @@ impl Default for ServeOptions {
     fn default() -> Self {
         Self {
             workers: 0,
-            max_batch: 16,
+            max_batch: DEFAULT_MAX_BATCH,
             base_seed: 0x5E2F_E5EE_D000_0001,
         }
     }
-}
-
-/// Hard ceiling on serving workers, matching the exec pool's guard: a
-/// typo'd `SRAM_REPRO_THREADS=50000` must degrade to a big-but-survivable
-/// thread count, not die on spawn-resource exhaustion. Predictions are
-/// worker-count invariant, so clamping never changes an output.
-const MAX_WORKERS: usize = 256;
-
-/// Micro-batch size for the current backlog: split the queue so every
-/// worker gets roughly two more turns (bounds tail imbalance at ~half a
-/// batch), clamped to `[1, max_batch]`.
-pub(crate) fn adaptive_batch(queue_len: usize, workers: usize, max_batch: usize) -> usize {
-    (queue_len / (2 * workers.max(1))).clamp(1, max_batch.max(1))
 }
 
 /// Everything one `serve` call produced.
@@ -154,17 +131,24 @@ impl ServeReport {
         self.fault_bits as f64 / bits as f64
     }
 
-    /// Total model energy of the run (requests × per-inference total).
-    pub fn total_energy_joules(&self) -> Option<f64> {
-        self.energy_per_inference
-            .as_ref()
-            .map(|e| e.energy.total().joules() * self.requests() as f64)
-    }
-
     /// FNV-1a fingerprint of the prediction vector.
     pub fn digest(&self) -> u64 {
         prediction_digest(&self.predictions)
     }
+}
+
+/// One worker's share of a run, folded into the report after the join.
+#[derive(Default)]
+struct Tally {
+    /// `(request id, prediction)` in completion order.
+    results: Vec<(usize, usize)>,
+    latency: LatencyHistogram,
+    queue_wait: LatencyHistogram,
+    service: LatencyHistogram,
+    fault_bits: u64,
+    words_read: u64,
+    batches: usize,
+    max_batch_observed: usize,
 }
 
 /// A shared-state inference server over one loaded [`NeuromorphicSystem`].
@@ -244,11 +228,6 @@ impl InferenceServer {
         }
     }
 
-    /// The configured options.
-    pub fn options(&self) -> &ServeOptions {
-        &self.options
-    }
-
     /// The drowsy plan, when configured.
     pub fn drowsy_plan(&self) -> Option<&DrowsyPlan> {
         self.drowsy.as_ref()
@@ -256,11 +235,13 @@ impl InferenceServer {
 
     /// Worker threads the next [`serve`](Self::serve) call will use.
     pub fn workers(&self) -> usize {
-        if self.options.workers > 0 {
-            self.options.workers
-        } else {
-            sram_exec::effective_threads()
-        }
+        sram_exec::resolve_workers(self.options.workers)
+    }
+
+    /// Words read so far per memory shard.
+    fn shard_reads(&self) -> Vec<u64> {
+        let counts = self.system.memory().shard_counts();
+        counts.iter().map(|c| c.reads as u64).collect()
     }
 
     /// The reference prediction vector: request `i` classified on the
@@ -337,159 +318,60 @@ impl InferenceServer {
     ) -> ServeReport {
         assert!(options.max_batch > 0, "max_batch must be at least 1");
         let n = requests.len();
-        let configured = if options.workers > 0 {
-            options.workers
-        } else {
-            sram_exec::effective_threads()
-        };
-        let workers = configured.clamp(1, n.max(1)).min(MAX_WORKERS);
-        let queue: Mutex<VecDeque<usize>> = Mutex::new((0..n).collect());
-        let shard_reads_before: Vec<usize> = self
-            .system
-            .memory()
-            .shard_counts()
-            .iter()
-            .map(|c| c.reads)
-            .collect();
+        let workers = sram_exec::resolve_workers(options.workers).min(n.max(1));
+        let queue = BatchQueue::new(workers, options.max_batch);
+        queue.push((0..).zip(requests.iter().map(AsRef::as_ref)));
+        queue.close();
+        let shard_reads_before = self.shard_reads();
         let start = Instant::now();
 
-        struct WorkerOutcome {
-            /// `(request id, prediction)` in completion order; latencies
-            /// live in the histogram.
-            results: Vec<(usize, usize)>,
-            histogram: LatencyHistogram,
-            queue_wait: LatencyHistogram,
-            service: LatencyHistogram,
-            fault_bits: u64,
-            words_read: u64,
-            batches: usize,
-            max_batch_observed: usize,
-        }
-
-        // When no bank can fault a read, the scalar datapath draws zero
-        // randomness per request — so one physical row fetch can feed every
-        // request in a micro-batch (`classify_batch`) without perturbing
-        // any per-request stream. Faulting memories keep the per-request
-        // path: each request's masks must come from its own RNG.
-        let batchable = self.system.memory().read_fault_free();
-        let run_worker = || {
-            let mut out = WorkerOutcome {
-                results: Vec::new(),
-                histogram: LatencyHistogram::new(),
-                queue_wait: LatencyHistogram::new(),
-                service: LatencyHistogram::new(),
-                fault_bits: 0,
-                words_read: 0,
-                batches: 0,
-                max_batch_observed: 0,
-            };
-            let mut ctx = self.system.make_context(options.base_seed, 0);
-            let mut batch_ctxs: Vec<InferContext> = Vec::new();
-            let mut features: Vec<&[f32]> = Vec::with_capacity(options.max_batch);
-            let mut batch: Vec<usize> = Vec::with_capacity(options.max_batch);
-            loop {
-                {
-                    let mut q = queue.lock().unwrap_or_else(|e| e.into_inner());
-                    if q.is_empty() {
-                        break;
-                    }
-                    let take = adaptive_batch(q.len(), workers, options.max_batch).min(q.len());
-                    batch.clear();
-                    batch.extend(q.drain(..take));
-                }
-                out.batches += 1;
-                out.max_batch_observed = out.max_batch_observed.max(batch.len());
-                if batchable && batch.len() > 1 {
-                    while batch_ctxs.len() < batch.len() {
-                        batch_ctxs.push(self.system.make_context(options.base_seed, 0));
-                    }
-                    let ctxs = &mut batch_ctxs[..batch.len()];
-                    features.clear();
-                    for (&id, c) in batch.iter().zip(ctxs.iter_mut()) {
-                        c.reset(options.base_seed, id as u64);
-                        features.push(requests[id].as_ref());
-                    }
-                    let popped_ns = start.elapsed().as_nanos() as u64;
-                    let predictions = self.system.classify_batch(&features, ctxs);
-                    let done_ns = start.elapsed().as_nanos() as u64;
-                    for ((&id, c), prediction) in batch.iter().zip(ctxs.iter()).zip(predictions) {
-                        out.histogram.record(done_ns);
-                        out.queue_wait.record(popped_ns);
-                        out.service.record(done_ns.saturating_sub(popped_ns));
-                        out.fault_bits += c.fault_bits();
-                        out.words_read += c.reads();
-                        out.results.push((id, prediction));
-                    }
-                } else {
-                    for &id in &batch {
-                        ctx.reset(options.base_seed, id as u64);
-                        let begun_ns = start.elapsed().as_nanos() as u64;
-                        let prediction = self
-                            .system
-                            .classify_request(requests[id].as_ref(), &mut ctx);
-                        let done_ns = start.elapsed().as_nanos() as u64;
-                        out.histogram.record(done_ns);
-                        out.queue_wait.record(begun_ns);
-                        out.service.record(done_ns.saturating_sub(begun_ns));
-                        out.fault_bits += ctx.fault_bits();
-                        out.words_read += ctx.reads();
-                        out.results.push((id, prediction));
-                    }
-                }
+        let tallies = sram_exec::run_workers(workers, |_| {
+            let mut tally = Tally::default();
+            let mut ctxs = Vec::new();
+            let mut batch = Vec::with_capacity(options.max_batch);
+            while queue.pop_batch(&mut batch) {
+                tally.batches += 1;
+                tally.max_batch_observed = tally.max_batch_observed.max(batch.len());
+                classify_micro_batch(
+                    &self.system,
+                    options.base_seed,
+                    &batch,
+                    |&request| request,
+                    &mut ctxs,
+                    |&(id, _), done| {
+                        let begun_ns = done.started.duration_since(start).as_nanos() as u64;
+                        let done_ns = done.finished.duration_since(start).as_nanos() as u64;
+                        tally.latency.record(done_ns);
+                        tally.queue_wait.record(begun_ns);
+                        tally.service.record(done_ns - begun_ns);
+                        tally.fault_bits += done.fault_bits;
+                        tally.words_read += done.words_read;
+                        tally.results.push((id as usize, done.prediction));
+                    },
+                );
             }
-            out
-        };
-
-        let outcomes: Vec<WorkerOutcome> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(run_worker)).collect();
-            // Join every worker before propagating a panic (same rationale
-            // as the exec pool: resuming the unwind with live workers would
-            // double-panic during scope teardown).
-            let mut outcomes = Vec::with_capacity(workers);
-            let mut first_panic = None;
-            for handle in handles {
-                match handle.join() {
-                    Ok(outcome) => outcomes.push(outcome),
-                    Err(payload) => {
-                        first_panic.get_or_insert(payload);
-                    }
-                }
-            }
-            if let Some(payload) = first_panic {
-                std::panic::resume_unwind(payload);
-            }
-            outcomes
+            tally
         });
         let wall = start.elapsed();
 
-        let mut predictions = vec![usize::MAX; n];
-        let mut latency = LatencyHistogram::new();
-        let mut queue_wait = LatencyHistogram::new();
-        let mut service = LatencyHistogram::new();
-        let mut fault_bits = 0u64;
-        let mut words_read = 0u64;
-        let mut batches = 0usize;
-        let mut max_batch_observed = 0usize;
-        for outcome in &outcomes {
-            for &(id, prediction) in &outcome.results {
-                predictions[id] = prediction;
-            }
-            latency.merge(&outcome.histogram);
-            queue_wait.merge(&outcome.queue_wait);
-            service.merge(&outcome.service);
-            fault_bits += outcome.fault_bits;
-            words_read += outcome.words_read;
-            batches += outcome.batches;
-            max_batch_observed = max_batch_observed.max(outcome.max_batch_observed);
+        let mut total = Tally::default();
+        for tally in tallies {
+            total.results.extend(tally.results);
+            total.latency.merge(&tally.latency);
+            total.queue_wait.merge(&tally.queue_wait);
+            total.service.merge(&tally.service);
+            total.fault_bits += tally.fault_bits;
+            total.words_read += tally.words_read;
+            total.batches += tally.batches;
+            total.max_batch_observed = total.max_batch_observed.max(tally.max_batch_observed);
         }
-        debug_assert!(predictions.iter().all(|&p| p != usize::MAX || n == 0));
-        let shard_reads: Vec<u64> = self
-            .system
-            .memory()
-            .shard_counts()
-            .iter()
-            .zip(&shard_reads_before)
-            .map(|(after, &before)| (after.reads - before) as u64)
+        let mut predictions = vec![usize::MAX; n];
+        for (id, prediction) in total.results {
+            predictions[id] = prediction;
+        }
+        debug_assert!(predictions.iter().all(|&p| p != usize::MAX));
+        let shard_reads = (self.shard_reads().iter().zip(&shard_reads_before))
+            .map(|(after, before)| after - before)
             .collect();
 
         let standby_leakage = match (&self.drowsy, self.memory_leakage) {
@@ -500,15 +382,15 @@ impl InferenceServer {
         };
         ServeReport {
             predictions,
-            latency,
-            queue_wait,
-            service,
+            latency: total.latency,
+            queue_wait: total.queue_wait,
+            service: total.service,
             wall,
             workers,
-            batches,
-            max_batch_observed,
-            fault_bits,
-            words_read,
+            batches: total.batches,
+            max_batch_observed: total.max_batch_observed,
+            fault_bits: total.fault_bits,
+            words_read: total.words_read,
             shard_reads,
             energy_per_inference: self.energy,
             standby_leakage,
@@ -520,16 +402,29 @@ impl InferenceServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fault_inject::model::WordFailureModel;
+    use fault_inject::protection::ProtectionPolicy;
+    use neural::network::Mlp;
+    use neural::quant::{Encoding, QuantizedMlp};
+    use neuro_system::layout;
+    use neuro_system::npe::Npe;
+    use sram_array::organization::{SubArrayDims, SynapticMemoryMap};
+    use sram_array::sharded::ShardedMemory;
 
     #[test]
-    fn adaptive_batch_tracks_backlog() {
-        // Deep queue: full batches. Draining queue: singles.
-        assert_eq!(adaptive_batch(1024, 4, 16), 16);
-        assert_eq!(adaptive_batch(64, 4, 16), 8);
-        assert_eq!(adaptive_batch(7, 4, 16), 1);
-        assert_eq!(adaptive_batch(0, 4, 16), 1);
-        // Degenerate knobs stay sane.
-        assert_eq!(adaptive_batch(100, 0, 16), 16);
-        assert_eq!(adaptive_batch(100, 4, 0), 1);
+    fn workers_reports_the_clamped_count() {
+        let q = QuantizedMlp::from_mlp(&Mlp::new(&[4, 3, 2], 1), Encoding::TwosComplement);
+        let map = SynapticMemoryMap::new(
+            &layout::bank_words(&q),
+            &ProtectionPolicy::Uniform6T,
+            SubArrayDims::PAPER,
+        );
+        let memory = ShardedMemory::new(map, vec![WordFailureModel::ideal(); 2], 5, 1);
+        let system = NeuromorphicSystem::new(&q, memory, Npe::new(q.format));
+        let options = ServeOptions {
+            workers: 100_000,
+            ..ServeOptions::default()
+        };
+        assert_eq!(InferenceServer::new(system, options).workers(), 256);
     }
 }

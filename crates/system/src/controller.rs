@@ -29,9 +29,6 @@ use sram_array::sharded::ShardedMemory;
 use sram_exec::derive_seed;
 use std::sync::Arc;
 
-/// Base seed of the legacy `&mut self` entry points when none is given.
-const DEFAULT_BASE_SEED: u64 = 0x001F_E25E_EDD0;
-
 /// Index of the largest code, ties broken to the **lowest** index (a plain
 /// `max_by_key` keeps the *last* maximum, which would make serving
 /// tie-breaks disagree with the float evaluator's argmax).
@@ -132,10 +129,6 @@ pub struct NeuromorphicSystem {
     /// Global word index of this system's first weight word inside the
     /// (possibly shared) store; `0` for a single-tenant store.
     base_addr: usize,
-    base_seed: u64,
-    /// Requests served through the legacy `&mut self` entry points; each
-    /// gets the next id of the default stream.
-    served: u64,
 }
 
 impl NeuromorphicSystem {
@@ -159,8 +152,6 @@ impl NeuromorphicSystem {
             memory: Arc::new(memory),
             shapes: Self::shapes_of(network),
             base_addr: 0,
-            base_seed: DEFAULT_BASE_SEED,
-            served: 0,
         }
     }
 
@@ -203,8 +194,6 @@ impl NeuromorphicSystem {
             memory: store,
             shapes: Self::shapes_of(network),
             base_addr,
-            base_seed: DEFAULT_BASE_SEED,
-            served: 0,
         }
     }
 
@@ -217,13 +206,6 @@ impl NeuromorphicSystem {
                 outputs: l.outputs,
             })
             .collect()
-    }
-
-    /// Sets the base seed of the legacy `&mut self` entry points (builder
-    /// style). Explicit contexts are unaffected — they carry their own.
-    pub fn with_base_seed(mut self, base_seed: u64) -> Self {
-        self.base_seed = base_seed;
-        self
     }
 
     /// Access to the underlying sharded memory (e.g. for energy accounting
@@ -430,35 +412,6 @@ impl NeuromorphicSystem {
                 argmax_lowest(&ctx.activations).expect("non-empty output layer")
             })
             .collect()
-    }
-
-    /// Classifies one input sample (features in `[0, 1]`); returns the
-    /// predicted class index. Legacy single-owner entry point: request ids
-    /// come from an internal counter on the system's base seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the feature count does not match the input layer.
-    pub fn classify(&mut self, features: &[f32]) -> usize {
-        let mut ctx = self.next_legacy_context();
-        self.classify_request(features, &mut ctx)
-    }
-
-    /// Runs a full forward pass; returns the output activation codes.
-    /// Legacy single-owner entry point (see [`classify`](Self::classify)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the feature count does not match the input layer.
-    pub fn infer(&mut self, features: &[f32]) -> Vec<u8> {
-        let mut ctx = self.next_legacy_context();
-        self.infer_request(features, &mut ctx).to_vec()
-    }
-
-    fn next_legacy_context(&mut self) -> InferContext {
-        let ctx = InferContext::for_request(self.base_seed, self.served);
-        self.served += 1;
-        ctx
     }
 
     /// Classification accuracy over a dataset, running every sample through
@@ -720,20 +673,6 @@ mod tests {
             uniform_acc < lsb_acc,
             "MSB exposure must hurt more: uniform {uniform_acc} vs lsb {lsb_acc}"
         );
-    }
-
-    #[test]
-    fn legacy_entry_points_still_serve() {
-        let (q, test_set) = trained_small_net();
-        let mut system = NeuromorphicSystem::new(&q, ideal_memory_for(&q), Npe::new(q.format))
-            .with_base_seed(99);
-        let class = system.classify(test_set.image(0));
-        assert!(class < 10);
-        let outputs = system.infer(test_set.image(1));
-        assert_eq!(outputs.len(), 10);
-        // On an ideal memory the legacy path matches the shared path.
-        let mut ctx = InferContext::for_request(0, 0);
-        assert_eq!(class, system.classify_request(test_set.image(0), &mut ctx));
     }
 
     #[test]
