@@ -1,12 +1,9 @@
-//! Serving-layer throughput benches: the same fixture `serve_bench` uses,
-//! pushed through the queue → micro-batcher → worker pipeline at 1 and 4
-//! workers. The two numbers land in `BENCH.json` as
-//! `serve/throughput_1w` / `serve/throughput_4w`, so the committed baseline
-//! records the scaling headroom of the serving layer (on a single-core
-//! recording machine the two are expected to be close; CI's `serve-load`
-//! job gates the multi-core behavior).
+//! Inference-path bench: one classification through the fused bulk-read
+//! datapath on the serving fixture `serve_bench` uses. Serving throughput
+//! and the batch-amortized path are measured end to end by `perfbench`
+//! (`serve_fault_free`, `serve_maintain`) under a paired protocol.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion};
 use fault_inject::model::{BitErrorRates, WordFailureModel};
 use fault_inject::protection::ProtectionPolicy;
 use neuro_system::controller::NeuromorphicSystem;
@@ -14,29 +11,18 @@ use neuro_system::layout;
 use neuro_system::npe::Npe;
 use sram_array::organization::{SubArrayDims, SynapticMemoryMap};
 use sram_array::sharded::ShardedMemory;
-use sram_serve::fixture::{request_stream, trained_digit_network};
-use sram_serve::{InferenceServer, ServeOptions};
+use sram_serve::fixture::trained_digit_network;
 
-const REQUESTS: usize = 64;
 const BASE_SEED: u64 = 0xBE7C_4ED0;
 
-fn build_server() -> (InferenceServer, Vec<Vec<f32>>) {
-    build_server_with_read_rate(0.02)
-}
-
-/// Same fixture with read faults disabled — the regime where the serving
-/// layer may amortize one physical row fetch across a whole micro-batch.
-fn build_amortized_server() -> (InferenceServer, Vec<Vec<f32>>) {
-    build_server_with_read_rate(0.0)
-}
-
-fn build_server_with_read_rate(read_6t: f64) -> (InferenceServer, Vec<Vec<f32>>) {
+/// The digits network on a write- and read-faulting hybrid (3,5) store.
+fn build_system() -> (NeuromorphicSystem, Vec<f32>) {
     let (q, test_set) = trained_digit_network();
     let words = layout::bank_words(&q);
     let policy = ProtectionPolicy::MsbProtected { msb_8t: 3 };
     let map = SynapticMemoryMap::new(&words, &policy, SubArrayDims::PAPER);
     let rates = BitErrorRates {
-        read_6t,
+        read_6t: 0.02,
         write_6t: 0.002,
         read_8t: 0.0,
         write_8t: 0.0,
@@ -46,69 +32,24 @@ fn build_server_with_read_rate(read_6t: f64) -> (InferenceServer, Vec<Vec<f32>>)
         .collect();
     let memory = ShardedMemory::new(map, models, 29, 2);
     let system = NeuromorphicSystem::new(&q, memory, Npe::new(q.format));
-    let requests = request_stream(&test_set, REQUESTS);
-    (
-        InferenceServer::new(system, ServeOptions::default()),
-        requests,
-    )
-}
-
-fn bench_serve(c: &mut Criterion) {
-    let (server, requests) = build_server();
-    let mut group = c.benchmark_group("serve");
-    group
-        .sample_size(10)
-        .throughput(Throughput::Elements(REQUESTS as u64));
-    for (name, workers) in [("throughput_1w", 1usize), ("throughput_4w", 4)] {
-        let options = ServeOptions {
-            workers,
-            max_batch: 16,
-            base_seed: BASE_SEED,
-        };
-        group.bench_function(name, |b| {
-            b.iter(|| server.serve_configured(&requests, &options))
-        });
-    }
-    group.finish();
+    (system, test_set.image(0).to_vec())
 }
 
 /// One end-to-end classification through the fused bulk-read datapath
-/// (row-granular fault sampling + 8-lane MAC), warm context, faulting
-/// memory — the per-request inner loop every serving bench sits on.
+/// (row-granular fault sampling + SIMD MAC), warm context, faulting
+/// memory — the per-request inner loop every serving path sits on.
 fn bench_infer(c: &mut Criterion) {
-    let (server, requests) = build_server();
-    let system = server.system();
+    let (system, features) = build_system();
     let mut ctx = system.make_context(BASE_SEED, 0);
     let mut group = c.benchmark_group("infer");
     group.bench_function("forward_row_path", |b| {
         b.iter(|| {
             ctx.reset(BASE_SEED, 7);
-            system.classify_request(&requests[0], &mut ctx)
+            system.classify_request(&features, &mut ctx)
         })
     });
     group.finish();
 }
 
-/// The batch-amortized serving path on a read-fault-free memory: one row
-/// fetch feeds the whole micro-batch. Throughput is in memory words
-/// delivered (logical copies billed), matching `ServeReport::words_per_sec`.
-fn bench_words_per_sec(c: &mut Criterion) {
-    let (server, requests) = build_amortized_server();
-    let words = (REQUESTS * server.system().reads_per_inference()) as u64;
-    let options = ServeOptions {
-        workers: 1,
-        max_batch: 16,
-        base_seed: BASE_SEED,
-    };
-    let mut group = c.benchmark_group("serve");
-    group
-        .sample_size(10)
-        .throughput(Throughput::Elements(words));
-    group.bench_function("words_per_sec", |b| {
-        b.iter(|| server.serve_configured(&requests, &options))
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_serve, bench_infer, bench_words_per_sec);
+criterion_group!(benches, bench_infer);
 criterion_main!(benches);

@@ -107,7 +107,7 @@ pub struct Completion {
 /// Classifies one micro-batch on `system`, calling `done` for each job as
 /// soon as it is finished. `request` names a job's request id in the seed
 /// stream rooted at `seed`, and its input features. When the store is read-fault-free and the batch holds more
-/// than one request, one row fetch per neuron feeds the whole batch
+/// than one request, one bank fetch per layer feeds the whole batch
 /// ([`NeuromorphicSystem::classify_batch`]); otherwise each request runs
 /// [`NeuromorphicSystem::classify_request`] on one warm context. Both give
 /// bit-identical predictions and accounting.

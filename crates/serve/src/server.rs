@@ -11,7 +11,7 @@
 //! A pop admits `queue_len / (2·workers)` requests, clamped to
 //! `[1, max_batch]`: a deep queue amortizes lock traffic, a draining one
 //! falls back to single requests and keeps the stragglers balanced. On a
-//! read-fault-free store a batch shares one row fetch per neuron;
+//! read-fault-free store a batch shares one bank fetch per layer;
 //! otherwise its requests share one warm [`InferContext`].
 //!
 //! # Determinism

@@ -1,7 +1,7 @@
 //! The fused bulk-read serving datapath against golden scalar digests.
 //!
-//! The batch-amortized path (one physical row fetch feeding a whole
-//! micro-batch) is only legal on read-fault-free memories; these tests pin
+//! The batch-amortized path (one physical fetch per layer bank feeding a
+//! whole micro-batch) is only legal on read-fault-free memories; these tests pin
 //! it byte-identical to the scalar per-request datapath at every worker ×
 //! shard × batch combination, and against a digest recorded from the
 //! pre-fusion scalar implementation — any drift here means the fused

@@ -42,6 +42,9 @@ fn argmax_lowest(codes: &[u8]) -> Option<usize> {
     (!codes.is_empty()).then_some(best)
 }
 
+/// Requests the batch datapath feeds the NPE per pass over a weight row.
+const REQUESTS_PER_PASS: usize = 4;
+
 /// Shape of one layer as seen by the controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LayerShape {
@@ -243,19 +246,25 @@ impl NeuromorphicSystem {
     /// A context for request `request_id` of the stream rooted at
     /// `base_seed`, with every scratch buffer pre-sized from this system's
     /// layer shapes — the warm path never reallocates, not even on the
-    /// first request. Behaviorally identical to
-    /// [`InferContext::for_request`].
+    /// first request. The fetch scratch holds the largest layer bank, so a
+    /// context can also lend it to [`classify_batch`](Self::classify_batch).
+    /// Behaviorally identical to [`InferContext::for_request`].
     pub fn make_context(&self, base_seed: u64, request_id: u64) -> InferContext {
         let mut ctx = InferContext::for_request(base_seed, request_id);
-        let row = self.shapes.iter().map(|s| s.inputs).max().unwrap_or(0);
+        let bank = self
+            .shapes
+            .iter()
+            .map(|s| s.inputs * s.outputs + s.outputs)
+            .max()
+            .unwrap_or(0);
         let width = self
             .shapes
             .iter()
             .map(|s| s.inputs.max(s.outputs))
             .max()
             .unwrap_or(0);
-        ctx.weight_buf.reserve_exact(row);
-        ctx.mask_buf.reserve_exact(row);
+        ctx.weight_buf.reserve_exact(bank);
+        ctx.mask_buf.reserve_exact(bank);
         ctx.activations.reserve_exact(width);
         ctx.next.reserve_exact(width);
         ctx
@@ -336,9 +345,17 @@ impl NeuromorphicSystem {
         argmax_lowest(outputs).expect("non-empty output layer")
     }
 
-    /// Classifies a micro-batch sharing one physical row fetch per neuron
-    /// across all requests — the batch-amortized datapath the serving
-    /// layer uses when the memory is read-fault-free.
+    /// Classifies a micro-batch sharing one physical fetch per layer across
+    /// all requests — the batch-amortized datapath the serving layer uses
+    /// when the memory is read-fault-free.
+    ///
+    /// Each layer's bank (weights neuron-major, then biases; see
+    /// [`layout`]) is read with one
+    /// [`read_row_shared`](ShardedMemory::read_row_shared) into the first
+    /// context's scratch. The controller then walks the neurons, feeding
+    /// requests to the NPE in blocks of four
+    /// ([`Npe::neurons`]) so each weight row is streamed once per four
+    /// requests, and the last one to three requests one at a time.
     ///
     /// On such a memory the scalar datapath draws **zero** randomness, so
     /// feeding every request from one fetch perturbs nothing: outputs,
@@ -359,6 +376,9 @@ impl NeuromorphicSystem {
             "batch-amortized path requires a read-fault-free memory"
         );
         assert_eq!(batch.len(), ctxs.len(), "one context per request");
+        if batch.is_empty() {
+            return Vec::new();
+        }
         for (features, ctx) in batch.iter().zip(ctxs.iter_mut()) {
             assert_eq!(
                 features.len(),
@@ -370,41 +390,53 @@ impl NeuromorphicSystem {
                 .extend(features.iter().map(|&f| encode_activation(f)));
         }
         let copies = batch.len();
-        // The shared row scratch; the RNG is never drawn from on a
-        // read-fault-free memory, it only satisfies the fetch signature.
-        let mut row = Vec::new();
-        let mut row_masks = Vec::new();
-        let mut no_draws = StdRng::seed_from_u64(0);
+        // The shared bank scratch is borrowed from the first context (which
+        // `make_context` pre-sizes to the largest bank) and handed back at
+        // the end, so warm batches never allocate.
+        let mut bank = std::mem::take(&mut ctxs[0].weight_buf);
+        let mut bank_masks = std::mem::take(&mut ctxs[0].mask_buf);
         let mut bank_base = self.base_addr;
         for shape in &self.shapes {
+            let weight_words = shape.inputs * shape.outputs;
+            let bank_len = weight_words + shape.outputs;
+            // A read-fault-free memory draws nothing from the RNG it is
+            // handed, so the first context's stream stays untouched.
+            let faults = self.memory.read_row_shared(
+                bank_base,
+                bank_len,
+                &mut ctxs[0].rng,
+                &mut bank,
+                &mut bank_masks,
+            );
+            debug_assert_eq!(faults, 0, "read-fault-free memory faulted");
+            self.memory.charge_reads(bank_base, bank_len, copies - 1);
+            let (weights, biases) = bank.split_at(weight_words);
             for ctx in ctxs.iter_mut() {
                 ctx.next.clear();
             }
-            for neuron in 0..shape.outputs {
-                let row_start = bank_base + layout::weight_offset(shape.inputs, neuron, 0);
-                let faults = self.memory.read_row_shared(
-                    row_start,
-                    shape.inputs,
-                    &mut no_draws,
-                    &mut row,
-                    &mut row_masks,
-                );
-                debug_assert_eq!(faults, 0, "read-fault-free memory faulted");
-                self.memory
-                    .charge_reads(row_start, shape.inputs, copies - 1);
-                let bias_index =
-                    bank_base + layout::bias_offset(shape.inputs, shape.outputs, neuron);
-                let (bias, _) = self.memory.read_shared(bias_index, &mut no_draws);
-                self.memory.charge_reads(bias_index, 1, copies - 1);
-                for ctx in ctxs.iter_mut() {
-                    ctx.next.push(self.npe.neuron(&row, bias, &ctx.activations));
+            for (neuron, &bias) in biases.iter().enumerate() {
+                let start = layout::weight_offset(shape.inputs, neuron, 0);
+                let row = &weights[start..start + shape.inputs];
+                let mut quads = ctxs.chunks_exact_mut(REQUESTS_PER_PASS);
+                for quad in &mut quads {
+                    let acts: [&[u8]; REQUESTS_PER_PASS] =
+                        std::array::from_fn(|r| quad[r].activations.as_slice());
+                    let outs = self.npe.neurons(row, bias, acts);
+                    for (ctx, out) in quad.iter_mut().zip(outs) {
+                        ctx.next.push(out);
+                    }
+                }
+                for ctx in quads.into_remainder() {
+                    ctx.next.push(self.npe.neuron(row, bias, &ctx.activations));
                 }
             }
-            bank_base += shape.inputs * shape.outputs + shape.outputs;
+            bank_base += bank_len;
             for ctx in ctxs.iter_mut() {
                 std::mem::swap(&mut ctx.activations, &mut ctx.next);
             }
         }
+        ctxs[0].weight_buf = bank;
+        ctxs[0].mask_buf = bank_masks;
         let reads = self.reads_per_inference() as u64;
         ctxs.iter_mut()
             .map(|ctx| {
@@ -750,6 +782,130 @@ mod tests {
             scalar_sys.memory().shard_counts(),
             "shared fetches must bill identical shard traffic"
         );
+    }
+
+    /// A random-weight network on a read-fault-free (ideal) store; the
+    /// 100-input layer exercises full 16-byte MAC steps plus a ragged tail.
+    fn clean_random_system(shards: usize, overlays: bool) -> NeuromorphicSystem {
+        let q = QuantizedMlp::from_mlp(&Mlp::new(&[100, 23, 10], 7), Encoding::TwosComplement);
+        let words = layout::bank_words(&q);
+        let map = SynapticMemoryMap::new(&words, &ProtectionPolicy::Uniform6T, SubArrayDims::PAPER);
+        let memory =
+            ShardedMemory::new(map, vec![WordFailureModel::ideal(); words.len()], 3, shards);
+        assert_eq!(memory.shard_count(), shards);
+        let mut system = NeuromorphicSystem::new(&q, memory, Npe::new(q.format));
+        if overlays {
+            let memory = system.memory_mut();
+            // Stuck spans across neuron rows of the first bank, over the
+            // first bank's biases, and inside the second bank.
+            memory.inject_stuck_range(37, 150, 0x41, 0xF7);
+            memory.inject_stuck_range(2305, 30, 0x80, 0xFF);
+            memory.inject_stuck_range(2400, 9, 0x00, 0x3C);
+            // Spare rows in both banks, one over a stuck span.
+            for index in [90, 1200, 2330] {
+                let (start, len) = memory.row_span(index);
+                let spare: Vec<u8> = (0..len).map(|i| (i * 29 + index) as u8).collect();
+                memory.repair_row(start, &spare);
+            }
+            assert!(memory.read_fault_free());
+        }
+        system
+    }
+
+    #[test]
+    fn batch_path_matches_scalar_requests_at_every_batch_size() {
+        for (shards, overlays) in [(1, false), (2, false), (4, false), (2, true), (4, true)] {
+            let batch_sys = clean_random_system(shards, overlays);
+            let scalar_sys = clean_random_system(shards, overlays);
+            let plain_sys = clean_random_system(shards, false);
+            let mut overlay_changed_outputs = false;
+            let mut next_id = 0u64;
+            for n in 1..=17usize {
+                let features: Vec<Vec<f32>> = (0..n)
+                    .map(|r| {
+                        (0..100)
+                            .map(|i| ((i * 37 + r * 11 + n * 5) % 101) as f32 / 100.0)
+                            .collect()
+                    })
+                    .collect();
+                let batch: Vec<&[f32]> = features.iter().map(Vec::as_slice).collect();
+                let ids: Vec<u64> = (next_id..next_id + n as u64).collect();
+                next_id += n as u64;
+                let mut ctxs: Vec<InferContext> = ids
+                    .iter()
+                    .map(|&id| batch_sys.make_context(5, id))
+                    .collect();
+                let predictions = batch_sys.classify_batch(&batch, &mut ctxs);
+                for (r, (&id, features)) in ids.iter().zip(&features).enumerate() {
+                    let at =
+                        format!("{shards} shards, overlays {overlays}, batch {n}, request {r}");
+                    let mut ctx = scalar_sys.make_context(5, id);
+                    let outputs = scalar_sys.infer_request(features, &mut ctx).to_vec();
+                    assert_eq!(ctxs[r].activations, outputs, "output codes at {at}");
+                    assert_eq!(
+                        predictions[r],
+                        argmax_lowest(&outputs).unwrap(),
+                        "prediction at {at}"
+                    );
+                    assert_eq!(ctxs[r].reads(), ctx.reads(), "reads at {at}");
+                    assert_eq!(ctxs[r].fault_bits(), ctx.fault_bits(), "faults at {at}");
+                    assert_eq!(ctxs[r].rng, ctx.rng, "RNG stream perturbed at {at}");
+                    let mut plain = plain_sys.make_context(5, id);
+                    overlay_changed_outputs |=
+                        plain_sys.infer_request(features, &mut plain) != outputs;
+                }
+                assert_eq!(
+                    batch_sys.memory().counts().reads,
+                    scalar_sys.memory().counts().reads,
+                    "billed reads at {shards} shards, overlays {overlays}, batch {n}"
+                );
+            }
+            assert_eq!(
+                batch_sys.memory().shard_counts(),
+                scalar_sys.memory().shard_counts(),
+                "shard traffic at {shards} shards, overlays {overlays}"
+            );
+            assert_eq!(
+                overlay_changed_outputs, overlays,
+                "the overlays must reach the outputs, and only with overlays"
+            );
+        }
+    }
+
+    #[test]
+    fn warm_batches_never_grow_the_scratch() {
+        let system = clean_random_system(2, true);
+        let features: Vec<Vec<f32>> = (0..7)
+            .map(|r| (0..100).map(|i| ((i + r) % 10) as f32 / 10.0).collect())
+            .collect();
+        let batch: Vec<&[f32]> = features.iter().map(Vec::as_slice).collect();
+        let mut ctxs: Vec<InferContext> = (0..7).map(|id| system.make_context(1, id)).collect();
+        let capacities = |ctxs: &[InferContext]| -> Vec<[usize; 4]> {
+            ctxs.iter()
+                .map(|c| {
+                    [
+                        c.weight_buf.capacity(),
+                        c.mask_buf.capacity(),
+                        c.activations.capacity(),
+                        c.next.capacity(),
+                    ]
+                })
+                .collect()
+        };
+        let before = capacities(&ctxs);
+        // The first context lends the shared fetch the largest bank.
+        assert!(before[0][0] >= 100 * 23 + 23 && before[0][1] >= 100 * 23 + 23);
+        for round in 0..3u64 {
+            for (id, ctx) in ctxs.iter_mut().enumerate() {
+                ctx.reset(1, round * 7 + id as u64);
+            }
+            let _ = system.classify_batch(&batch, &mut ctxs);
+            assert_eq!(
+                capacities(&ctxs),
+                before,
+                "batch round {round} grew the scratch"
+            );
+        }
     }
 
     #[test]

@@ -22,69 +22,87 @@ const LUT_RANGE: f32 = 8.0;
 /// `2^15 · 32 640 < 2^31` in magnitude.
 const MAC_BLOCK: usize = 1 << 15;
 
-/// Exact multiply-accumulate over weight and activation codes at any
-/// fan-in: blocks of at most [`MAC_BLOCK`] products are summed in `i32`
-/// lanes, and the block sums are added in `i64`.
+/// Exact multiply-accumulate of one weight row against `R` activation
+/// vectors at any fan-in: blocks of at most [`MAC_BLOCK`] products are
+/// summed in `i32` lanes, and the block sums are added in `i64`. Each of
+/// the `R` results is the single-request MAC of its activation vector.
 #[cfg(target_arch = "x86_64")]
-fn mac(weights: &[u8], activations: &[u8]) -> i64 {
-    weights
-        .chunks(MAC_BLOCK)
-        .zip(activations.chunks(MAC_BLOCK))
+fn mac<const R: usize>(weights: &[u8], activations: [&[u8]; R]) -> [i64; R] {
+    let mut sums = [0i64; R];
+    for start in (0..weights.len()).step_by(MAC_BLOCK) {
+        let end = (start + MAC_BLOCK).min(weights.len());
+        let block = activations.map(|a| &a[start..end]);
         // SAFETY: SSE2 is part of the x86_64 baseline, so every x86_64
         // CPU has the feature the kernel is compiled for.
-        .map(|(w, a)| i64::from(unsafe { block_mac_sse2(w, a) }))
-        .sum()
+        let block_sums = unsafe { block_mac_sse2(&weights[start..end], block) };
+        for (sum, block_sum) in sums.iter_mut().zip(block_sums) {
+            *sum += i64::from(block_sum);
+        }
+    }
+    sums
 }
 
 #[cfg(not(target_arch = "x86_64"))]
-fn mac(weights: &[u8], activations: &[u8]) -> i64 {
-    lane_mac(weights, activations)
+fn mac<const R: usize>(weights: &[u8], activations: [&[u8]; R]) -> [i64; R] {
+    activations.map(|a| lane_mac(weights, a))
 }
 
-/// One block of the MAC, 16 products per step: each i8 × u8 pair is
-/// widened to i16 and `pmaddwd` adds adjacent products into i32 lanes.
-/// The caller keeps the block within [`MAC_BLOCK`], which bounds every
-/// partial sum. SSE2 is baseline on every x86_64 CPU, so no runtime
+/// One block of the MAC for `R` requests sharing a weight row, 16 products
+/// per step: each 16-weight chunk is loaded and sign-extended to i16 once,
+/// then `pmaddwd`-ed against each request's zero-extended activations,
+/// adding adjacent products into that request's own i32 lanes. The caller
+/// keeps the block within [`MAC_BLOCK`], which bounds every partial sum of
+/// every request. SSE2 is baseline on every x86_64 CPU, so no runtime
 /// detection is needed.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
-fn block_mac_sse2(weights: &[u8], activations: &[u8]) -> i32 {
+fn block_mac_sse2<const R: usize>(weights: &[u8], activations: [&[u8]; R]) -> [i32; R] {
     use std::arch::x86_64::{
         __m128i, _mm_add_epi32, _mm_cvtsi128_si32, _mm_loadu_si128, _mm_madd_epi16,
         _mm_setzero_si128, _mm_shuffle_epi32, _mm_srai_epi16, _mm_unpackhi_epi8, _mm_unpacklo_epi8,
     };
     debug_assert!(weights.len() <= MAC_BLOCK);
-    let mut w_chunks = weights.chunks_exact(16);
-    let mut a_chunks = activations.chunks_exact(16);
+    let len = weights.len();
+    assert!(
+        activations.iter().all(|a| a.len() == len),
+        "weight/activation fan-in mismatch"
+    );
     let zero = _mm_setzero_si128();
-    let (mut lo_acc, mut hi_acc) = (zero, zero);
-    for (w, a) in (&mut w_chunks).zip(&mut a_chunks) {
-        // SAFETY: `chunks_exact(16)` yields exactly 16 readable bytes per
-        // chunk, and `loadu` has no alignment requirement.
-        let (w, a) = unsafe {
-            (
-                _mm_loadu_si128(w.as_ptr().cast::<__m128i>()),
-                _mm_loadu_si128(a.as_ptr().cast::<__m128i>()),
-            )
-        };
+    let mut lo_acc = [zero; R];
+    let mut hi_acc = [zero; R];
+    let mut offset = 0;
+    while offset + 16 <= len {
+        // SAFETY: `offset + 16 <= len`, and every slice holds `len` bytes,
+        // so each load reads 16 in-bounds bytes; `loadu` has no alignment
+        // requirement.
+        let w = unsafe { _mm_loadu_si128(weights.as_ptr().add(offset).cast::<__m128i>()) };
         // Sign-extend weights: duplicate each byte into both halves of an
         // i16, then shift the copy in the high half down arithmetically.
         let w_lo = _mm_srai_epi16::<8>(_mm_unpacklo_epi8(w, w));
         let w_hi = _mm_srai_epi16::<8>(_mm_unpackhi_epi8(w, w));
-        // Zero-extend activations.
-        let a_lo = _mm_unpacklo_epi8(a, zero);
-        let a_hi = _mm_unpackhi_epi8(a, zero);
-        lo_acc = _mm_add_epi32(lo_acc, _mm_madd_epi16(w_lo, a_lo));
-        hi_acc = _mm_add_epi32(hi_acc, _mm_madd_epi16(w_hi, a_hi));
+        for r in 0..R {
+            // SAFETY: as for the weight load above.
+            let a =
+                unsafe { _mm_loadu_si128(activations[r].as_ptr().add(offset).cast::<__m128i>()) };
+            // Zero-extend activations.
+            let a_lo = _mm_unpacklo_epi8(a, zero);
+            let a_hi = _mm_unpackhi_epi8(a, zero);
+            lo_acc[r] = _mm_add_epi32(lo_acc[r], _mm_madd_epi16(w_lo, a_lo));
+            hi_acc[r] = _mm_add_epi32(hi_acc[r], _mm_madd_epi16(w_hi, a_hi));
+        }
+        offset += 16;
     }
-    let acc = _mm_add_epi32(lo_acc, hi_acc);
-    let acc = _mm_add_epi32(acc, _mm_shuffle_epi32::<0b01_00_11_10>(acc));
-    let acc = _mm_add_epi32(acc, _mm_shuffle_epi32::<0b10_11_00_01>(acc));
-    let mut sum = _mm_cvtsi128_si32(acc);
-    for (&w, &a) in w_chunks.remainder().iter().zip(a_chunks.remainder()) {
-        sum += i32::from(w as i8) * i32::from(a);
+    let mut sums = [0i32; R];
+    for r in 0..R {
+        let acc = _mm_add_epi32(lo_acc[r], hi_acc[r]);
+        let acc = _mm_add_epi32(acc, _mm_shuffle_epi32::<0b01_00_11_10>(acc));
+        let acc = _mm_add_epi32(acc, _mm_shuffle_epi32::<0b10_11_00_01>(acc));
+        sums[r] = _mm_cvtsi128_si32(acc);
+        for (&w, &a) in weights[offset..].iter().zip(&activations[r][offset..]) {
+            sums[r] += i32::from(w as i8) * i32::from(a);
+        }
     }
-    sum
+    sums
 }
 
 /// Fused 8-lane `i64` multiply-accumulate: the portable MAC and the
@@ -179,16 +197,36 @@ impl Npe {
     ///
     /// Panics if `weights.len() != activations.len()`.
     pub fn neuron(&self, weights: &[u8], bias: u8, activations: &[u8]) -> u8 {
-        assert_eq!(
-            weights.len(),
-            activations.len(),
-            "weight/activation fan-in mismatch"
-        );
-        // Bias enters at full activation (a = 1.0 -> code 255).
-        let acc = mac(weights, activations) + (bias as i8) as i64 * 255;
-        // Scale: weight lsb / 255 per product unit.
-        let z = acc as f32 * self.format.lsb() / 255.0;
-        self.sigmoid_lut(z)
+        let [out] = self.neurons(weights, bias, [activations]);
+        out
+    }
+
+    /// Computes one neuron for `R` requests at once: one pass over the
+    /// shared weight row feeds all `R` MACs, and each output equals
+    /// [`neuron`](Self::neuron) on that request's activations. Every
+    /// request's MAC keeps the single-request block bound, so the result
+    /// is exact at any fan-in and any `R`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any activation vector's length differs from
+    /// `weights.len()`.
+    pub fn neurons<const R: usize>(
+        &self,
+        weights: &[u8],
+        bias: u8,
+        activations: [&[u8]; R],
+    ) -> [u8; R] {
+        for a in &activations {
+            assert_eq!(weights.len(), a.len(), "weight/activation fan-in mismatch");
+        }
+        mac(weights, activations).map(|acc| {
+            // Bias enters at full activation (a = 1.0 -> code 255).
+            let acc = acc + (bias as i8) as i64 * 255;
+            // Scale: weight lsb / 255 per product unit.
+            let z = acc as f32 * self.format.lsb() / 255.0;
+            self.sigmoid_lut(z)
+        })
     }
 }
 
@@ -279,15 +317,17 @@ mod tests {
                 .map(|(&w, &a)| (w as i8) as i64 * a as i64)
                 .sum();
             assert_eq!(lane_mac(&weights, &acts), scalar, "fan-in {len}");
-            assert_eq!(mac(&weights, &acts), scalar, "fan-in {len}");
+            assert_eq!(mac(&weights, [&acts]), [scalar], "fan-in {len}");
         }
     }
 
     #[test]
     fn mac_is_exact_at_the_extreme_products_across_block_boundaries() {
         // Every product at its extreme: one block of them sits just inside
-        // the i32 bound, two blocks do not.
-        for (w, a) in [(0x80u8, 0xFFu8), (0x7F, 0xFF)] {
+        // the i32 bound, two blocks do not. The four-request kernel must
+        // keep that bound in each lane, whatever its neighbors hold.
+        let lanes = [0xFFu8, 0x00, 0x80, 0xFF];
+        for w in [0x80u8, 0x7F] {
             for len in [
                 15,
                 16,
@@ -295,40 +335,88 @@ mod tests {
                 MAC_BLOCK - 1,
                 MAC_BLOCK,
                 MAC_BLOCK + 1,
+                2 * MAC_BLOCK - 1,
+                2 * MAC_BLOCK,
                 2 * MAC_BLOCK + 17,
                 70_000,
             ] {
                 let weights = vec![w; len];
-                let acts = vec![a; len];
-                let want = len as i64 * i64::from(w as i8) * i64::from(a);
-                assert_eq!(mac(&weights, &acts), want, "w={w:#x} fan-in {len}");
-                assert_eq!(lane_mac(&weights, &acts), want, "w={w:#x} fan-in {len}");
+                let acts = lanes.map(|a| vec![a; len]);
+                let want = lanes.map(|a| len as i64 * i64::from(w as i8) * i64::from(a));
+                assert_eq!(
+                    mac(&weights, [&acts[0]]),
+                    [want[0]],
+                    "w={w:#x} fan-in {len}"
+                );
+                assert_eq!(
+                    mac(&weights, acts.each_ref().map(Vec::as_slice)),
+                    want,
+                    "w={w:#x} fan-in {len}, 4 requests"
+                );
+                assert_eq!(
+                    lane_mac(&weights, &acts[0]),
+                    want[0],
+                    "w={w:#x} fan-in {len}"
+                );
             }
         }
     }
 
+    #[test]
+    fn batched_neurons_match_one_request_at_a_time() {
+        let n = npe();
+        let weights: Vec<u8> = (0..784).map(|i| (i * 37 + 11) as u8).collect();
+        let acts: [Vec<u8>; 4] =
+            std::array::from_fn(|r| (0..784).map(|i| (i * (r + 3) * 101) as u8).collect());
+        let batched = n.neurons(&weights, 0xF3, acts.each_ref().map(Vec::as_slice));
+        let single = acts.each_ref().map(|a| n.neuron(&weights, 0xF3, a));
+        assert_eq!(batched, single);
+    }
+
+    #[test]
+    #[should_panic(expected = "fan-in mismatch")]
+    fn batched_fan_in_mismatch_panics() {
+        let n = npe();
+        let _ = n.neurons(&[0, 0], 0, [&[0, 0], &[0]]);
+    }
+
     proptest! {
-        /// The SIMD MAC equals the `i64` lane fold for every fan-in up to
-        /// past two i32 blocks, on random, all-extreme and mixed-extreme
-        /// bytes, from slices starting at any offset.
+        /// The SIMD MAC for R = 1..=4 requests equals the `i64` lane fold
+        /// in every lane, for every fan-in up to past two i32 blocks, on
+        /// random, all-extreme and mixed-extreme bytes, with the weight
+        /// row and each request's activations starting at any offset.
         #[test]
         fn mac_matches_lane_fold(
             len in 0usize..=70_000,
             fill in 0u8..3,
             w_off in 0usize..16,
-            a_off in 0usize..16,
+            a_offs in (0usize..16, 0usize..16, 0usize..16, 0usize..16),
             seed in any::<u64>(),
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut byte = |extremes: [u8; 2]| match fill {
-                0 => rng.gen::<u8>(),
-                1 => extremes[0],
-                _ => extremes[usize::from(rng.gen::<bool>())],
+            let mut bytes = |n: usize, extremes: [u8; 2]| -> Vec<u8> {
+                (0..n)
+                    .map(|_| match fill {
+                        0 => rng.gen::<u8>(),
+                        1 => extremes[0],
+                        _ => extremes[usize::from(rng.gen::<bool>())],
+                    })
+                    .collect()
             };
-            let w_buf: Vec<u8> = (0..w_off + len).map(|_| byte([0x80, 0x7F])).collect();
-            let a_buf: Vec<u8> = (0..a_off + len).map(|_| byte([0xFF, 0x00])).collect();
-            let (w, a) = (&w_buf[w_off..], &a_buf[a_off..]);
-            prop_assert_eq!(mac(w, a), lane_mac(w, a), "fan-in {len}");
+            let w_buf = bytes(w_off + len, [0x80, 0x7F]);
+            let a_offs = [a_offs.0, a_offs.1, a_offs.2, a_offs.3];
+            let a_bufs = a_offs.map(|off| bytes(off + len, [0xFF, 0x00]));
+            let w = &w_buf[w_off..];
+            let a: [&[u8]; 4] = std::array::from_fn(|r| &a_bufs[r][a_offs[r]..]);
+            let want = a.map(|a| lane_mac(w, a));
+            prop_assert_eq!(mac(w, [a[0]]), [want[0]], "fan-in {len}, R = 1");
+            prop_assert_eq!(mac(w, [a[0], a[1]]), [want[0], want[1]], "fan-in {len}, R = 2");
+            prop_assert_eq!(
+                mac(w, [a[0], a[1], a[2]]),
+                [want[0], want[1], want[2]],
+                "fan-in {len}, R = 3"
+            );
+            prop_assert_eq!(mac(w, a), want, "fan-in {len}, R = 4");
         }
     }
 

@@ -107,9 +107,6 @@ const TRACKED: &[&str] = &[
     "scale/load_4shard",
     "npe/mac_784",
     "infer/forward_row_path",
-    "serve/throughput_1w",
-    "serve/throughput_4w",
-    "serve/words_per_sec",
     "chaos/degraded_p99",
     "chaos/scrub_sweep",
     "net/conn_throughput",
