@@ -1,84 +1,15 @@
-//! Resilience-path benches: what degradation costs the serving layer.
-//!
-//! `chaos/degraded_p99` serves the standard request stream over a memory
-//! that took the full degraded-shard chaos schedule and was then healed by
-//! the resilience loop (BIST boot repair, per-wave scrub + spare-row
-//! remap) — the tail-latency price of running on repaired hardware, with
-//! the overlay path active. `chaos/scrub_sweep` is one full ECC scrubber
+//! Resilience-path bench: `chaos/scrub_sweep` is one full ECC scrubber
 //! sweep over a corrupted store, the between-batches maintenance quantum.
-//! Both land in `BENCH.json` and are tier-tracked by `cargo xtask
-//! bench-diff`.
+//! It lands in `BENCH.json` and is tier-tracked by `cargo xtask
+//! bench-diff`. Serving over a degraded, repaired store is measured end to
+//! end by `perfbench`'s `serve_maintain` workload.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use fault_inject::chaos::ChaosSchedule;
-use fault_inject::model::{BitErrorRates, WordFailureModel};
+use fault_inject::model::WordFailureModel;
 use fault_inject::protection::ProtectionPolicy;
-use neuro_system::controller::NeuromorphicSystem;
-use neuro_system::layout;
-use neuro_system::npe::Npe;
 use sram_array::organization::{SubArrayDims, SynapticMemoryMap};
 use sram_array::scrub::{scrub_pass, EccSidecar};
 use sram_array::sharded::ShardedMemory;
-use sram_serve::fixture::{request_stream, trained_digit_network};
-use sram_serve::{
-    apply_chaos_event, InferenceServer, ResilienceConfig, ResilienceController, ServeOptions,
-};
-
-const REQUESTS: usize = 64;
-const BASE_SEED: u64 = 0xBE7C_4ED0;
-const CHAOS_SEED: u64 = 0xC4A0_5EED;
-const WAVES: usize = 4;
-
-/// Serving over post-chaos, post-repair hardware: every read goes through
-/// the stuck/repair overlay path the healthy bench never touches.
-fn bench_degraded_serving(c: &mut Criterion) {
-    let (q, test_set) = trained_digit_network();
-    let words = layout::bank_words(&q);
-    let total_words: usize = words.iter().sum();
-    let policy = ProtectionPolicy::MsbProtected { msb_8t: 3 };
-    let map = SynapticMemoryMap::new(&words, &policy, SubArrayDims::PAPER);
-    let rates = BitErrorRates {
-        read_6t: 0.02,
-        write_6t: 0.002,
-        read_8t: 0.0,
-        write_8t: 0.0,
-    };
-    let models: Vec<WordFailureModel> = (0..words.len())
-        .map(|b| WordFailureModel::new(&rates, &policy.assignment(b)))
-        .collect();
-    let mut system = NeuromorphicSystem::new(
-        &q,
-        ShardedMemory::new(map, models, 29, 3),
-        Npe::new(q.format),
-    );
-    let golden = layout::flatten(&q);
-    let controller =
-        ResilienceController::new(system.memory_mut(), &golden, ResilienceConfig::default());
-    let row_words = system.memory().words_per_row();
-    let mut server =
-        InferenceServer::new(system, ServeOptions::default()).with_resilience(controller);
-    let schedule = ChaosSchedule::degraded_shard(CHAOS_SEED, total_words, 4, WAVES, row_words, 12);
-    for wave in 0..WAVES {
-        for event in schedule.events_at(wave) {
-            apply_chaos_event(server.system_mut().memory_mut(), event);
-        }
-        server.maintain();
-    }
-    let requests = request_stream(&test_set, REQUESTS);
-    let options = ServeOptions {
-        workers: 1,
-        max_batch: 16,
-        base_seed: BASE_SEED,
-    };
-    let mut group = c.benchmark_group("chaos");
-    group
-        .sample_size(10)
-        .throughput(Throughput::Elements(REQUESTS as u64));
-    group.bench_function("degraded_p99", |b| {
-        b.iter(|| server.serve_configured(&requests, &options))
-    });
-    group.finish();
-}
 
 /// One observe-only scrubber sweep (decode every word, no write-back) over
 /// a store carrying single- and double-bit upsets.
@@ -98,5 +29,5 @@ fn bench_scrub_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_degraded_serving, bench_scrub_sweep);
+criterion_group!(benches, bench_scrub_sweep);
 criterion_main!(benches);

@@ -37,6 +37,7 @@ use neural::dataset::{spectra, Dataset};
 use neural::network::Mlp;
 use neural::quant::{Encoding, QuantizedMlp};
 use neural::train::{train, TrainOptions};
+use neuro_system::npe::mac_kernel;
 use sram_exec::Flags;
 use sram_net::loadgen::{self, LoadOptions, TenantStream};
 use sram_net::registry::{ModelRegistry, TenantSpec};
@@ -287,6 +288,7 @@ fn main() {
         if load.timed_out { "  (TIMED OUT)" } else { "" }
     );
     println!("throughput         {:.1} req/s", load.throughput_rps());
+    println!("mac kernel         {}", mac_kernel());
     println!(
         "sojourn p50/p99    {} / {}",
         format_ns(load.sojourn.p50_ns()),
@@ -357,7 +359,7 @@ fn main() {
              server_served={}\nserver_shed={}\nbad_frames={}\npings={}\n\
              conns_accepted={}\nconns_dropped={}\n\
              fault_bits={}\nwords_read={}\nobserved_ber={:.6e}\nenergy_j={:.6e}\n\
-             degrade_events={}\ndrowsy_served={}\nwall_ns={}\n",
+             degrade_events={}\ndrowsy_served={}\nwall_ns={}\nmac_kernel={}\n",
             args.rate,
             args.requests,
             args.connections,
@@ -392,6 +394,7 @@ fn main() {
             degrade_events,
             drowsy_served,
             load.wall.as_nanos(),
+            mac_kernel(),
         );
         for (i, tenant) in report.tenants.iter().enumerate() {
             text.push_str(&format!(

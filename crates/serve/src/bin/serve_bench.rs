@@ -41,7 +41,7 @@ use neural::quant::QuantizedMlp;
 use neuro_system::controller::NeuromorphicSystem;
 use neuro_system::energy::{system_inference_energy, SystemEnergyModel};
 use neuro_system::layout;
-use neuro_system::npe::Npe;
+use neuro_system::npe::{mac_kernel, Npe};
 use sram_array::power::PowerConvention;
 use sram_bitcell::characterize::CharacterizationOptions;
 use sram_device::process::Technology;
@@ -427,6 +427,7 @@ fn main() {
     let standby = report.standby_leakage.map(|w| w.watts()).unwrap_or(0.0);
     let digest = report.digest();
     println!("workers            {}", report.workers);
+    println!("mac kernel         {}", mac_kernel());
     println!("requests           {}", report.requests());
     println!(
         "wall time          {}",
@@ -490,7 +491,8 @@ fn main() {
              queue_p50_ns={}\nqueue_p99_ns={}\nservice_p50_ns={}\nservice_p99_ns={}\n\
              energy_per_inference_j={:.6e}\n\
              standby_leakage_w={:.6e}\nfault_bits={}\nwords_read={}\n\
-             observed_ber={:.6e}\nbatches={}\nmax_batch_observed={}\nshards={}\ndigest={:016x}\n",
+             observed_ber={:.6e}\nbatches={}\nmax_batch_observed={}\nshards={}\ndigest={:016x}\n\
+             mac_kernel={}\n",
             report.workers,
             report.requests(),
             report.wall.as_nanos(),
@@ -511,6 +513,7 @@ fn main() {
             report.max_batch_observed,
             server.system().memory().shard_count(),
             digest,
+            mac_kernel(),
         );
         let text = match &hot_standby {
             Some((watts, _)) => format!("{text}hot_shard_standby_w={watts:.6e}\n"),

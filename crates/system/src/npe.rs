@@ -8,6 +8,10 @@
 //!
 //! Activations use U0.8 (codes 0-255 spanning `[0, 1)`), matching the
 //! sigmoid's output range.
+//!
+//! The MAC is exact at any fan-in. On an x86_64 CPU with AVX2 it runs one
+//! 256-bit kernel, chosen at run time; on every other CPU it runs the
+//! portable 8-lane `i64` fold. [`mac_kernel`] names the one in use.
 
 use neural::network::sigmoid;
 use neural::quant::FixedPointFormat;
@@ -22,19 +26,48 @@ const LUT_RANGE: f32 = 8.0;
 /// `2^15 · 32 640 < 2^31` in magnitude.
 const MAC_BLOCK: usize = 1 << 15;
 
+/// The MAC kernel this CPU runs: `"avx2"` on an x86_64 CPU with AVX2,
+/// `"portable"` (the 8-lane `i64` fold) everywhere else. Both give
+/// bit-identical sums; reports print this so every number names the
+/// kernel behind it.
+pub fn mac_kernel() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        return "avx2";
+    }
+    "portable"
+}
+
 /// Exact multiply-accumulate of one weight row against `R` activation
-/// vectors at any fan-in: blocks of at most [`MAC_BLOCK`] products are
-/// summed in `i32` lanes, and the block sums are added in `i64`. Each of
-/// the `R` results is the single-request MAC of its activation vector.
-#[cfg(target_arch = "x86_64")]
+/// vectors at any fan-in. Each of the `R` results is the single-request
+/// MAC of its activation vector.
+///
+/// On an x86_64 CPU with AVX2 (std caches the CPUID probe, so the check is
+/// one atomic load) the AVX2 kernel runs in blocks of at most
+/// [`MAC_BLOCK`] products, each summed in `i32` lanes, with the block sums
+/// added in `i64`. Everywhere else the portable [`lane_mac`] fold runs.
 fn mac<const R: usize>(weights: &[u8], activations: [&[u8]; R]) -> [i64; R] {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU supports AVX2, the only feature the kernel is
+        // compiled for.
+        return blocked(weights, activations, |w, a| unsafe { block_mac_avx2(w, a) });
+    }
+    activations.map(|a| lane_mac(weights, a))
+}
+
+/// Runs `kernel` on blocks of at most [`MAC_BLOCK`] products, the same
+/// block in every lane, and adds each lane's block sums in `i64`.
+#[cfg(target_arch = "x86_64")]
+fn blocked<const R: usize>(
+    weights: &[u8],
+    activations: [&[u8]; R],
+    kernel: impl Fn(&[u8], [&[u8]; R]) -> [i32; R],
+) -> [i64; R] {
     let mut sums = [0i64; R];
     for start in (0..weights.len()).step_by(MAC_BLOCK) {
         let end = (start + MAC_BLOCK).min(weights.len());
-        let block = activations.map(|a| &a[start..end]);
-        // SAFETY: SSE2 is part of the x86_64 baseline, so every x86_64
-        // CPU has the feature the kernel is compiled for.
-        let block_sums = unsafe { block_mac_sse2(&weights[start..end], block) };
+        let block_sums = kernel(&weights[start..end], activations.map(|a| &a[start..end]));
         for (sum, block_sum) in sums.iter_mut().zip(block_sums) {
             *sum += i64::from(block_sum);
         }
@@ -42,24 +75,19 @@ fn mac<const R: usize>(weights: &[u8], activations: [&[u8]; R]) -> [i64; R] {
     sums
 }
 
-#[cfg(not(target_arch = "x86_64"))]
-fn mac<const R: usize>(weights: &[u8], activations: [&[u8]; R]) -> [i64; R] {
-    activations.map(|a| lane_mac(weights, a))
-}
-
 /// One block of the MAC for `R` requests sharing a weight row, 16 products
-/// per step: each 16-weight chunk is loaded and sign-extended to i16 once,
-/// then `pmaddwd`-ed against each request's zero-extended activations,
-/// adding adjacent products into that request's own i32 lanes. The caller
-/// keeps the block within [`MAC_BLOCK`], which bounds every partial sum of
-/// every request. SSE2 is baseline on every x86_64 CPU, so no runtime
-/// detection is needed.
+/// per step: each 16-weight chunk is sign-extended to sixteen i16 lanes of
+/// a ymm register once, then each request's chunk is zero-extended the
+/// same way and `vpmaddwd`-ed against it, adding adjacent products into
+/// that request's eight i32 lanes. The caller keeps the block within
+/// [`MAC_BLOCK`], which bounds every partial sum of every request.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-fn block_mac_sse2<const R: usize>(weights: &[u8], activations: [&[u8]; R]) -> [i32; R] {
+#[target_feature(enable = "avx2")]
+fn block_mac_avx2<const R: usize>(weights: &[u8], activations: [&[u8]; R]) -> [i32; R] {
     use std::arch::x86_64::{
-        __m128i, _mm_add_epi32, _mm_cvtsi128_si32, _mm_loadu_si128, _mm_madd_epi16,
-        _mm_setzero_si128, _mm_shuffle_epi32, _mm_srai_epi16, _mm_unpackhi_epi8, _mm_unpacklo_epi8,
+        __m128i, _mm256_add_epi32, _mm256_castsi256_si128, _mm256_cvtepi8_epi16,
+        _mm256_cvtepu8_epi16, _mm256_extracti128_si256, _mm256_madd_epi16, _mm256_setzero_si256,
+        _mm_add_epi32, _mm_cvtsi128_si32, _mm_loadu_si128, _mm_shuffle_epi32,
     };
     debug_assert!(weights.len() <= MAC_BLOCK);
     let len = weights.len();
@@ -67,34 +95,28 @@ fn block_mac_sse2<const R: usize>(weights: &[u8], activations: [&[u8]; R]) -> [i
         activations.iter().all(|a| a.len() == len),
         "weight/activation fan-in mismatch"
     );
-    let zero = _mm_setzero_si128();
-    let mut lo_acc = [zero; R];
-    let mut hi_acc = [zero; R];
+    let mut acc = [_mm256_setzero_si256(); R];
     let mut offset = 0;
     while offset + 16 <= len {
         // SAFETY: `offset + 16 <= len`, and every slice holds `len` bytes,
         // so each load reads 16 in-bounds bytes; `loadu` has no alignment
         // requirement.
         let w = unsafe { _mm_loadu_si128(weights.as_ptr().add(offset).cast::<__m128i>()) };
-        // Sign-extend weights: duplicate each byte into both halves of an
-        // i16, then shift the copy in the high half down arithmetically.
-        let w_lo = _mm_srai_epi16::<8>(_mm_unpacklo_epi8(w, w));
-        let w_hi = _mm_srai_epi16::<8>(_mm_unpackhi_epi8(w, w));
+        let w = _mm256_cvtepi8_epi16(w);
         for r in 0..R {
             // SAFETY: as for the weight load above.
             let a =
                 unsafe { _mm_loadu_si128(activations[r].as_ptr().add(offset).cast::<__m128i>()) };
-            // Zero-extend activations.
-            let a_lo = _mm_unpacklo_epi8(a, zero);
-            let a_hi = _mm_unpackhi_epi8(a, zero);
-            lo_acc[r] = _mm_add_epi32(lo_acc[r], _mm_madd_epi16(w_lo, a_lo));
-            hi_acc[r] = _mm_add_epi32(hi_acc[r], _mm_madd_epi16(w_hi, a_hi));
+            acc[r] = _mm256_add_epi32(acc[r], _mm256_madd_epi16(w, _mm256_cvtepu8_epi16(a)));
         }
         offset += 16;
     }
     let mut sums = [0i32; R];
     for r in 0..R {
-        let acc = _mm_add_epi32(lo_acc[r], hi_acc[r]);
+        let acc = _mm_add_epi32(
+            _mm256_castsi256_si128(acc[r]),
+            _mm256_extracti128_si256::<1>(acc[r]),
+        );
         let acc = _mm_add_epi32(acc, _mm_shuffle_epi32::<0b01_00_11_10>(acc));
         let acc = _mm_add_epi32(acc, _mm_shuffle_epi32::<0b10_11_00_01>(acc));
         sums[r] = _mm_cvtsi128_si32(acc);
@@ -105,11 +127,10 @@ fn block_mac_sse2<const R: usize>(weights: &[u8], activations: [&[u8]; R]) -> [i
     sums
 }
 
-/// Fused 8-lane `i64` multiply-accumulate: the portable MAC and the
-/// oracle the SIMD kernel is tested against. Integer addition is
-/// associative, so the lane restructure is bit-identical to a scalar left
-/// fold.
-#[cfg_attr(all(target_arch = "x86_64", not(test)), allow(dead_code))]
+/// Fused 8-lane `i64` multiply-accumulate: the portable MAC (non-x86_64
+/// targets and x86_64 CPUs without AVX2) and the oracle the AVX2 kernel is
+/// tested against. Integer addition is associative, so the lane
+/// restructure is bit-identical to a scalar left fold.
 fn lane_mac(weights: &[u8], activations: &[u8]) -> i64 {
     let mut lanes = [0i64; 8];
     let mut w_chunks = weights.chunks_exact(8);
@@ -242,6 +263,64 @@ mod tests {
         Npe::new(FixedPointFormat::new(1, Encoding::TwosComplement))
     }
 
+    /// The AVX2 kernel called directly, blocked as `mac` blocks it, so the
+    /// kernel is checked even where `mac` would pick the portable fold;
+    /// `None` on a CPU without AVX2.
+    fn avx2_mac<const R: usize>(weights: &[u8], activations: [&[u8]; R]) -> Option<[i64; R]> {
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2.
+            return Some(blocked(weights, activations, |w, a| unsafe {
+                block_mac_avx2(w, a)
+            }));
+        }
+        let _ = (weights, activations);
+        None
+    }
+
+    /// Asserts that `mac` and, where the CPU has AVX2, the AVX2 kernel
+    /// itself give `want` for these `R` requests.
+    fn assert_kernels<const R: usize>(
+        weights: &[u8],
+        activations: [&[u8]; R],
+        want: [i64; R],
+        what: &str,
+    ) {
+        assert_eq!(mac(weights, activations), want, "mac, {what}");
+        if let Some(got) = avx2_mac(weights, activations) {
+            assert_eq!(got, want, "block_mac_avx2, {what}");
+        }
+    }
+
+    /// [`assert_kernels`] against the lane fold for the first 1, 2, 3 and
+    /// 4 of these requests.
+    fn assert_kernels_match_lane_fold(weights: &[u8], a: [&[u8]; 4], what: &str) {
+        let want = a.map(|a| lane_mac(weights, a));
+        assert_kernels(weights, [a[0]], [want[0]], &format!("{what}, R = 1"));
+        assert_kernels(
+            weights,
+            [a[0], a[1]],
+            [want[0], want[1]],
+            &format!("{what}, R = 2"),
+        );
+        assert_kernels(
+            weights,
+            [a[0], a[1], a[2]],
+            [want[0], want[1], want[2]],
+            &format!("{what}, R = 3"),
+        );
+        assert_kernels(weights, a, want, &format!("{what}, R = 4"));
+    }
+
+    #[test]
+    fn mac_kernel_names_avx2_whenever_the_cpu_has_it() {
+        #[cfg(target_arch = "x86_64")]
+        let has_avx2 = std::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let has_avx2 = false;
+        assert_eq!(mac_kernel(), if has_avx2 { "avx2" } else { "portable" });
+    }
+
     #[test]
     fn activation_codec_round_trip() {
         for a in [0.0f32, 0.25, 0.5, 0.75, 1.0] {
@@ -317,7 +396,20 @@ mod tests {
                 .map(|(&w, &a)| (w as i8) as i64 * a as i64)
                 .sum();
             assert_eq!(lane_mac(&weights, &acts), scalar, "fan-in {len}");
-            assert_eq!(mac(&weights, [&acts]), [scalar], "fan-in {len}");
+            assert_kernels(&weights, [&acts], [scalar], &format!("fan-in {len}"));
+        }
+    }
+
+    #[test]
+    fn every_short_tail_matches_the_lane_fold_for_every_request_count() {
+        // Fan-ins 1..=47 cover no, one and two 16-byte chunks followed by
+        // every tail length 0..16.
+        for len in 1usize..=47 {
+            let weights: Vec<u8> = (0..len).map(|i| (i * 73 + 5) as u8).collect();
+            let acts: [Vec<u8>; 4] =
+                std::array::from_fn(|r| (0..len).map(|i| (i * (2 * r + 5) * 29) as u8).collect());
+            let a = acts.each_ref().map(Vec::as_slice);
+            assert_kernels_match_lane_fold(&weights, a, &format!("fan-in {len}"));
         }
     }
 
@@ -343,15 +435,17 @@ mod tests {
                 let weights = vec![w; len];
                 let acts = lanes.map(|a| vec![a; len]);
                 let want = lanes.map(|a| len as i64 * i64::from(w as i8) * i64::from(a));
-                assert_eq!(
-                    mac(&weights, [&acts[0]]),
+                assert_kernels(
+                    &weights,
+                    [&acts[0]],
                     [want[0]],
-                    "w={w:#x} fan-in {len}"
+                    &format!("w={w:#x} fan-in {len}"),
                 );
-                assert_eq!(
-                    mac(&weights, acts.each_ref().map(Vec::as_slice)),
+                assert_kernels(
+                    &weights,
+                    acts.each_ref().map(Vec::as_slice),
                     want,
-                    "w={w:#x} fan-in {len}, 4 requests"
+                    &format!("w={w:#x} fan-in {len}, 4 requests"),
                 );
                 assert_eq!(
                     lane_mac(&weights, &acts[0]),
@@ -381,10 +475,11 @@ mod tests {
     }
 
     proptest! {
-        /// The SIMD MAC for R = 1..=4 requests equals the `i64` lane fold
-        /// in every lane, for every fan-in up to past two i32 blocks, on
-        /// random, all-extreme and mixed-extreme bytes, with the weight
-        /// row and each request's activations starting at any offset.
+        /// `mac` and the AVX2 kernel called directly, for R = 1..=4
+        /// requests, equal the `i64` lane fold in every lane, for every
+        /// fan-in up to past two i32 blocks, on random, all-extreme and
+        /// mixed-extreme bytes, with the weight row and each request's
+        /// activations starting at any offset.
         #[test]
         fn mac_matches_lane_fold(
             len in 0usize..=70_000,
@@ -408,15 +503,7 @@ mod tests {
             let a_bufs = a_offs.map(|off| bytes(off + len, [0xFF, 0x00]));
             let w = &w_buf[w_off..];
             let a: [&[u8]; 4] = std::array::from_fn(|r| &a_bufs[r][a_offs[r]..]);
-            let want = a.map(|a| lane_mac(w, a));
-            prop_assert_eq!(mac(w, [a[0]]), [want[0]], "fan-in {len}, R = 1");
-            prop_assert_eq!(mac(w, [a[0], a[1]]), [want[0], want[1]], "fan-in {len}, R = 2");
-            prop_assert_eq!(
-                mac(w, [a[0], a[1], a[2]]),
-                [want[0], want[1], want[2]],
-                "fan-in {len}, R = 3"
-            );
-            prop_assert_eq!(mac(w, a), want, "fan-in {len}, R = 4");
+            assert_kernels_match_lane_fold(w, a, &format!("fan-in {len}"));
         }
     }
 

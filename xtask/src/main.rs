@@ -12,7 +12,8 @@
 //!   existing file (`--current <path>`).
 //!
 //! * **`serve-report`** — runs the `serve_bench` load generator at 1 and 4
-//!   workers and emits a throughput/latency/energy comparison table
+//!   workers and emits a throughput/latency/energy comparison table whose
+//!   header names the NPE MAC kernel the runs used (`avx2` or `portable`)
 //!   (written to `--out`, default `target/serve-report.txt`). With
 //!   `--gate`, exits non-zero when the two runs' predictions differ
 //!   (determinism under load broken), when either run fails to emit a
@@ -50,7 +51,8 @@
 //!   `net_bench` open-loop load generator three times: twice at a
 //!   sub-saturation arrival rate with different connection counts (the
 //!   determinism probe) and once in burst mode with tight in-flight caps
-//!   (the overload probe). Renders the arrival-rate/sojourn/shed table
+//!   (the overload probe). Renders the arrival-rate/sojourn/shed table,
+//!   its header naming the NPE MAC kernel
 //!   (written to `--out`, default `target/net-report.txt`). With
 //!   `--gate`, exits non-zero when the two low-rate runs' response
 //!   digests differ (determinism across connection interleavings is
@@ -107,10 +109,7 @@ const TRACKED: &[&str] = &[
     "scale/load_4shard",
     "npe/mac_784",
     "infer/forward_row_path",
-    "chaos/degraded_p99",
     "chaos/scrub_sweep",
-    "net/conn_throughput",
-    "net/open_loop_p99",
 ];
 
 /// A tracked kernel fails the diff when its machine-normalized ratio
@@ -305,6 +304,11 @@ fn bench_diff(args: &[String]) -> TaskResult {
 /// A parsed `key=value` report.
 type Report = BTreeMap<String, String>;
 
+/// The value of `key` in `kv`, or `-` when the report lacks it.
+fn get_str<'a>(kv: &'a Report, key: &str) -> &'a str {
+    kv.get(key).map(String::as_str).unwrap_or("-")
+}
+
 /// The workspace `target/` directory (created if missing), where the
 /// reports and the raw runs behind them are written.
 fn target_dir() -> PathBuf {
@@ -496,7 +500,8 @@ fn serve_report(args: &[String]) -> TaskResult {
     let get_f64 = |kv: &Report, key: &str| kv.get(key).and_then(|v| v.parse::<f64>().ok());
     let mut table = String::new();
     table.push_str(&format!(
-        "serve-report — {requests} requests through the hybrid 8T-6T serving layer\n\n"
+        "serve-report — {requests} requests through the hybrid 8T-6T serving layer, {} MAC\n\n",
+        get_str(&reports[0].1, "mac_kernel"),
     ));
     table.push_str(&format!(
         "{:<8} {:>14} {:>15} {:>12} {:>12} {:>12} {:>12} {:>14} {:>14} {:>12}  digest\n",
@@ -523,8 +528,8 @@ fn serve_report(args: &[String]) -> TaskResult {
             format_ns(get_f64(kv, "service_p99_ns").unwrap_or(0.0)),
             get_f64(kv, "energy_per_inference_j").unwrap_or(0.0) * 1e9,
             get_f64(kv, "standby_leakage_w").unwrap_or(0.0) * 1e6,
-            kv.get("observed_ber").map(String::as_str).unwrap_or("-"),
-            kv.get("digest").map(String::as_str).unwrap_or("-"),
+            get_str(kv, "observed_ber"),
+            get_str(kv, "digest"),
         );
         table.push_str(&row);
     }
@@ -854,12 +859,10 @@ fn net_report(args: &[String]) -> TaskResult {
     }
 
     let get_f64 = |kv: &Report, key: &str| kv.get(key).and_then(|v| v.parse::<f64>().ok());
-    fn get_str<'a>(kv: &'a Report, key: &str) -> &'a str {
-        kv.get(key).map(String::as_str).unwrap_or("-")
-    }
     let mut table = String::new();
     table.push_str(&format!(
-        "net-report — {requests} open-loop requests over real sockets, 2 resident tenants\n\n"
+        "net-report — {requests} open-loop requests over real sockets, 2 resident tenants, {} MAC\n\n",
+        get_str(&reports[0].1, "mac_kernel"),
     ));
     table.push_str(&format!(
         "{:<12} {:>6} {:>6} {:>6} {:>5} {:>12} {:>12} {:>12} {:>12}  digest\n",
