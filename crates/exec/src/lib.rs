@@ -37,7 +37,8 @@
 //! to share one expensive characterization across every experiment instead
 //! of recomputing it per consumer. Two std-only utilities every tool in
 //! the workspace shares live here too: the strict flag parser in [`cli`]
-//! and the FNV-1a fold in [`digest`].
+//! and the FNV-1a fold in [`digest`]; [`report`] owns the one `key=value`
+//! record format the bench binaries print and `xtask` reads.
 
 #![warn(missing_docs)]
 
@@ -45,6 +46,7 @@ pub mod cache;
 pub mod cli;
 pub mod digest;
 pub mod pool;
+pub mod report;
 pub mod seed;
 
 pub use cache::MemoCache;

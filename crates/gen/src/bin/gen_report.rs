@@ -4,7 +4,7 @@
 //! cargo run --release -p sram_gen --bin gen_report -- \
 //!     [--specs-dir D] [--spec FILE]... [--corpus-dir D] \
 //!     [--random N] [--seed S] [--mc N] [--smoke N] \
-//!     [--threads W] [--report PATH]
+//!     [--threads W]
 //! ```
 //!
 //! Three sweeps in one run:
@@ -22,13 +22,13 @@
 //!   with a typed error; any panic kills the process and fails the gate,
 //!   any acceptance is counted and fails the gate.
 //!
-//! Output is a `key=value` report (stdout + `--report`), parsed by
-//! `cargo xtask gen-report`. All observables are deterministic in the
-//! flags — independent of `--threads` — which the xtask gate checks by
-//! diffing two runs at different worker counts.
+//! Stdout is one [`Record`] of `key=value` lines, parsed by `cargo xtask
+//! gen-report`; progress goes to stderr. All observables are deterministic
+//! in the flags — independent of `--threads` — which the xtask gate checks
+//! by diffing two runs at different worker counts.
 
+use sram_exec::report::Record;
 use sram_exec::Flags;
-use sram_gen::error::GenError;
 use sram_gen::organize::layout_digest;
 use sram_gen::report::{GenReport, GenReportOptions};
 use sram_gen::spec::SramSpec;
@@ -42,7 +42,6 @@ struct Args {
     seed: u64,
     mc_samples: usize,
     smoke_requests: usize,
-    report: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -55,7 +54,6 @@ fn parse_args() -> Result<Args, String> {
         seed: 0x5EED_5A3C,
         mc_samples: 160,
         smoke_requests: 32,
-        report: None,
     };
     Flags::default()
         .optional("--specs-dir", &mut args.specs_dir, |_| true)
@@ -65,7 +63,6 @@ fn parse_args() -> Result<Args, String> {
         .value("--seed", &mut args.seed, |_| true)
         .value("--mc", &mut args.mc_samples, |&n| n > 0)
         .value("--smoke", &mut args.smoke_requests, |&n| n > 0)
-        .optional("--report", &mut args.report, |_| true)
         .parse(raw)?;
     Ok(args)
 }
@@ -113,7 +110,7 @@ fn main() {
         ..GenReportOptions::default()
     };
 
-    let mut lines: Vec<String> = Vec::new();
+    let mut record = Record::default();
     let mut failures = 0usize;
 
     // --- Committed specs ------------------------------------------------
@@ -128,7 +125,7 @@ fn main() {
         }
     }
     let mut digits_layout: Option<u64> = None;
-    lines.push(format!("specs_total={}", spec_files.len()));
+    record.put("specs_total", spec_files.len());
     for path in &spec_files {
         let stem = path
             .file_stem()
@@ -139,16 +136,14 @@ fn main() {
             Ok(text) => text,
             Err(e) => {
                 eprintln!("gen_report: cannot read {}: {e}", path.display());
-                lines.push(format!("{key}_ok=false"));
+                record.put(format!("{key}_ok"), false);
                 failures += 1;
                 continue;
             }
         };
-        match SramSpec::from_toml_str(&text)
-            .and_then(|spec| GenReport::build(&spec, &opts).map(|report| (spec, report)))
-        {
-            Ok((spec, report)) => {
-                println!(
+        match SramSpec::from_toml_str(&text).and_then(|spec| GenReport::build(&spec, &opts)) {
+            Ok(report) => {
+                eprintln!(
                     "spec {stem:<16} {:>8} words  layout {:#018x}  report {:#018x}",
                     report.organization.map.total_words(),
                     report.organization.layout_digest(),
@@ -157,13 +152,13 @@ fn main() {
                 if stem == "digits" {
                     digits_layout = Some(report.organization.layout_digest());
                 }
-                let _ = spec;
-                lines.extend(report.kv_lines(&key));
+                report.put_into(&key, &mut record);
             }
             Err(e) => {
                 eprintln!("spec {stem}: FAILED: {e}");
-                lines.push(format!("{key}_ok=false"));
-                lines.push(format!("{key}_error={e}"));
+                record
+                    .put(format!("{key}_ok"), false)
+                    .put(format!("{key}_error"), e);
                 failures += 1;
             }
         }
@@ -173,41 +168,41 @@ fn main() {
     if let Some(generated) = digits_layout {
         let fixture = paper_fixture_digest();
         let matches = generated == fixture;
-        println!(
+        eprintln!(
             "paper fixture layout {fixture:#018x} vs generated {generated:#018x}: {}",
             if matches { "MATCH" } else { "MISMATCH" }
         );
-        lines.push(format!("paper_fixture_match={matches}"));
+        record.put("paper_fixture_match", matches);
         if !matches {
             failures += 1;
         }
     }
 
     // --- Seeded random sample -------------------------------------------
-    lines.push(format!("random_total={}", args.random));
+    record.put("random_total", args.random);
     let mut random_ok = 0usize;
     for i in 0..args.random {
         let spec = SramSpec::sample(sram_exec::derive_seed(args.seed, i as u64));
         let key = format!("rand_{i}");
         match GenReport::build(&spec, &opts) {
             Ok(report) => {
-                println!(
+                eprintln!(
                     "rand {i:<2} ({:<14}) {:>6} words  report {:#018x}",
                     spec.name,
                     report.organization.map.total_words(),
                     report.digest()
                 );
                 random_ok += 1;
-                lines.extend(report.kv_lines(&key));
+                report.put_into(&key, &mut record);
             }
             Err(e) => {
                 eprintln!("rand {i} ({}): FAILED: {e}", spec.name);
-                lines.push(format!("{key}_ok=false"));
+                record.put(format!("{key}_ok"), false);
                 failures += 1;
             }
         }
     }
-    lines.push(format!("random_ok={random_ok}"));
+    record.put("random_ok", random_ok);
 
     // --- Malformed corpus -----------------------------------------------
     if let Some(dir) = &args.corpus_dir {
@@ -226,11 +221,10 @@ fn main() {
                 .unwrap_or_default();
             let text = std::fs::read_to_string(path).unwrap_or_default();
             match SramSpec::from_toml_str(&text) {
+                // Typed rejection (any `GenError` variant) is the pass
+                // condition; a panic would kill the process instead.
                 Err(err) => {
-                    // Typed rejection (any GenError variant) is the pass
-                    // condition; a panic would kill the process instead.
-                    let _: &GenError = &err;
-                    println!("corpus {stem:<24} rejected: {err}");
+                    eprintln!("corpus {stem:<24} rejected: {err}");
                     rejected += 1;
                 }
                 Ok(_) => {
@@ -239,23 +233,13 @@ fn main() {
                 }
             }
         }
-        lines.push(format!("corpus_total={}", files.len()));
-        lines.push(format!("corpus_rejected={rejected}"));
+        record
+            .put("corpus_total", files.len())
+            .put("corpus_rejected", rejected);
     }
 
-    lines.push(format!("failures={failures}"));
-
-    let body = lines.join("\n") + "\n";
-    if let Some(path) = &args.report {
-        if let Some(parent) = path.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        if let Err(e) = std::fs::write(path, &body) {
-            eprintln!("gen_report: cannot write {}: {e}", path.display());
-            std::process::exit(2);
-        }
-    }
-    print!("{body}");
+    record.put("failures", failures);
+    print!("{record}");
     if failures > 0 {
         std::process::exit(1);
     }

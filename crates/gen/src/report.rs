@@ -26,6 +26,7 @@ use sram_array::sharded::ShardedMemory;
 use sram_device::units::Volt;
 use sram_ecc::hamming::SecdedCode;
 use sram_ecc::overhead::EccOverheadModel;
+use sram_exec::report::Record;
 use sram_exec::{fnv1a, fnv1a_u64, FNV_OFFSET};
 
 /// Word read rate the power rollup assumes (iso-throughput convention).
@@ -238,33 +239,36 @@ impl GenReport {
         h
     }
 
-    /// `key=value` lines for the sweep report, all keys under `prefix`.
-    pub fn kv_lines(&self, prefix: &str) -> Vec<String> {
-        let spec = &self.organization.spec;
-        vec![
-            format!("{prefix}_ok=true"),
-            format!("{prefix}_words={}", self.organization.map.total_words()),
-            format!("{prefix}_banks={}", self.organization.map.banks().len()),
-            format!("{prefix}_vdd={}", spec.supply.vdd),
-            format!(
-                "{prefix}_layout_digest={:#018x}",
-                self.organization.layout_digest()
-            ),
-            format!("{prefix}_report_digest={:#018x}", self.digest()),
-            format!("{prefix}_smoke_digest={:#018x}", self.smoke.digest),
-            format!("{prefix}_smoke_fault_bits={}", self.smoke.fault_bits),
-            format!("{prefix}_area_um2={:.3}", self.area.total_um2),
-            format!("{prefix}_area_overhead={:.6}", self.area.overhead_vs_6t),
-            format!("{prefix}_leakage_w={:.6e}", self.power.active_leakage_w),
-            format!(
-                "{prefix}_drowsy_leakage_w={:.6e}",
-                self.power.drowsy_leakage_w
-            ),
-            format!(
-                "{prefix}_read_ber_6t={:.6e}",
-                self.characterization.active.read_ber_6t
-            ),
-        ]
+    /// Writes this report's sweep keys, all under `prefix`, into `record`.
+    pub fn put_into(&self, prefix: &str, record: &mut Record) {
+        let key = |name: &str| format!("{prefix}_{name}");
+        let (org, power) = (&self.organization, &self.power);
+        record
+            .put(key("ok"), true)
+            .put(key("words"), org.map.total_words())
+            .put(key("banks"), org.map.banks().len())
+            .put(key("vdd"), org.spec.supply.vdd)
+            .put(
+                key("layout_digest"),
+                format!("{:#018x}", org.layout_digest()),
+            )
+            .put(key("report_digest"), format!("{:#018x}", self.digest()))
+            .put(key("smoke_digest"), format!("{:#018x}", self.smoke.digest))
+            .put(key("smoke_fault_bits"), self.smoke.fault_bits)
+            .put(key("area_um2"), format!("{:.3}", self.area.total_um2))
+            .put(
+                key("area_overhead"),
+                format!("{:.6}", self.area.overhead_vs_6t),
+            )
+            .put(key("leakage_w"), format!("{:.6e}", power.active_leakage_w))
+            .put(
+                key("drowsy_leakage_w"),
+                format!("{:.6e}", power.drowsy_leakage_w),
+            )
+            .put(
+                key("read_ber_6t"),
+                format!("{:.6e}", self.characterization.active.read_ber_6t),
+            );
     }
 }
 
@@ -366,10 +370,10 @@ mod tests {
         assert_eq!(report.smoke.requests, 1);
         assert!(report.area.ecc_extra_bits > 0);
         assert!(report.power.ecc_read_j > 0.0);
-        // kv lines carry the digest keys the sweep gate parses.
-        let lines = report.kv_lines("spec_raw");
-        assert!(lines
-            .iter()
-            .any(|l| l.starts_with("spec_raw_report_digest=0x")));
+        // The record carries the digest keys the sweep gate parses.
+        let mut record = Record::default();
+        report.put_into("spec_raw", &mut record);
+        let kv = sram_exec::report::parse(&record.to_string());
+        assert!(kv["spec_raw_report_digest"].starts_with("0x"));
     }
 }

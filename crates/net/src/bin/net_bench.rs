@@ -4,8 +4,7 @@
 //! cargo run --release -p sram_net --bin net_bench -- \
 //!     [--tenants N] [--requests N] [--rate R] [--connections C] \
 //!     [--threads W] [--seed S] [--shards S] \
-//!     [--global-inflight N] [--soft-inflight N] [--per-conn-inflight N] \
-//!     [--report PATH]
+//!     [--global-inflight N] [--soft-inflight N] [--per-conn-inflight N]
 //! ```
 //!
 //! Builds up to three resident tenants — the trained digit classifier,
@@ -14,7 +13,9 @@
 //! significance/voltage policy, spawns the evented TCP server on a
 //! loopback port, and drives it with the open-loop generator: `--rate`
 //! requests/second of seeded Poisson-ish arrivals (`--rate 0` = burst,
-//! the overload probe) spread over `--connections` sockets.
+//! the overload probe) spread over `--connections` sockets. Stdout is one
+//! [`Record`] of `key=value` lines (read by `cargo xtask net-report`);
+//! progress goes to stderr.
 //!
 //! Determinism: the request stream is a pure function of `--seed`,
 //! `--requests`, `--rate`, and `--tenants`; predictions and fault
@@ -31,17 +32,18 @@
 //! scaled by the tenant's serving Vdd squared) so the bench stays fast;
 //! the characterized path lives in `serve_bench`/the framework.
 
-use fault_inject::model::BitErrorRates;
+use fault_inject::model::{BitErrorRates, WORD_BITS};
 use fault_inject::protection::ProtectionPolicy;
 use neural::dataset::{spectra, Dataset};
 use neural::network::Mlp;
 use neural::quant::{Encoding, QuantizedMlp};
 use neural::train::{train, TrainOptions};
 use neuro_system::npe::mac_kernel;
+use sram_exec::report::Record;
 use sram_exec::Flags;
 use sram_net::loadgen::{self, LoadOptions, TenantStream};
 use sram_net::registry::{ModelRegistry, TenantSpec};
-use sram_net::server::{self, NetServerOptions};
+use sram_net::server::{self, NetServerOptions, TenantReport};
 use sram_serve::fixture::{million_synapse_network, trained_digit_network};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -56,7 +58,6 @@ struct Args {
     global_inflight: usize,
     soft_inflight: usize,
     per_conn_inflight: usize,
-    report: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -71,7 +72,6 @@ fn parse_args() -> Result<Args, String> {
         global_inflight: 256,
         soft_inflight: 0,
         per_conn_inflight: 0,
-        report: None,
     };
     Flags::default()
         .value("--tenants", &mut args.tenants, |n| (1..=3).contains(n))
@@ -83,7 +83,6 @@ fn parse_args() -> Result<Args, String> {
         .value("--global-inflight", &mut args.global_inflight, |&n| n > 0)
         .value("--soft-inflight", &mut args.soft_inflight, |_| true)
         .value("--per-conn-inflight", &mut args.per_conn_inflight, |_| true)
-        .optional("--report", &mut args.report, |_| true)
         .parse(raw)?;
     if args.soft_inflight == 0 {
         args.soft_inflight = args.global_inflight * 3 / 4;
@@ -92,19 +91,6 @@ fn parse_args() -> Result<Args, String> {
         args.per_conn_inflight = args.global_inflight;
     }
     Ok(args)
-}
-
-fn format_ns(ns: u64) -> String {
-    let ns = ns as f64;
-    if ns < 1e3 {
-        format!("{ns:.0} ns")
-    } else if ns < 1e6 {
-        format!("{:.1} µs", ns / 1e3)
-    } else if ns < 1e9 {
-        format!("{:.2} ms", ns / 1e6)
-    } else {
-        format!("{:.3} s", ns / 1e9)
-    }
 }
 
 /// Monte-Carlo depth for the spec-characterized tenants: enough for
@@ -245,7 +231,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    println!(
+    eprintln!(
         "fixture ready in {:.1} s — {} tenants ({} total words, {} shards), serving on {}",
         t0.elapsed().as_secs_f64(),
         registry.len(),
@@ -270,156 +256,75 @@ fn main() {
     };
     let report = running.stop();
 
-    let rate_label = if args.rate > 0.0 {
-        format!("{:.0} req/s", args.rate)
+    let total = |field: fn(&TenantReport) -> u64| -> u64 { report.tenants.iter().map(field).sum() };
+    let server_fault_bits = total(|t| t.fault_bits);
+    let words_read = total(|t| t.words_read);
+    let energy_j: f64 = report.tenants.iter().map(|t| t.energy_j).sum();
+    let observed_ber = if words_read > 0 {
+        server_fault_bits as f64 / (words_read * WORD_BITS as u64) as f64
     } else {
-        "burst".to_string()
+        0.0
     };
-    println!(
-        "arrival rate       {rate_label} over {} connections",
-        args.connections
-    );
-    println!(
-        "sent/ok/shed/err   {} / {} / {} / {}{}",
-        load.sent,
-        load.ok,
-        load.shed,
-        load.errors,
-        if load.timed_out { "  (TIMED OUT)" } else { "" }
-    );
-    println!("throughput         {:.1} req/s", load.throughput_rps());
-    println!("mac kernel         {}", mac_kernel());
-    println!(
-        "sojourn p50/p99    {} / {}",
-        format_ns(load.sojourn.p50_ns()),
-        format_ns(load.sojourn.p99_ns())
-    );
-    println!(
-        "queue wait p50/p99 {} / {}",
-        format_ns(load.queue.p50_ns()),
-        format_ns(load.queue.p99_ns())
-    );
-    println!(
-        "service p50/p99    {} / {}",
-        format_ns(load.service.p50_ns()),
-        format_ns(load.service.p99_ns())
-    );
-    println!(
-        "residual p50/p99   {} / {}",
-        format_ns(load.residual.p50_ns()),
-        format_ns(load.residual.p99_ns())
-    );
-    println!("response digest    {:016x}", load.digest);
-    println!("server digest      {:016x}", report.digest());
-    println!(
-        "server served/shed {} / {} ({} pings, {} bad frames, {} conns, {} dropped)",
-        report.served(),
-        report.shed(),
-        report.pings,
-        report.bad_frames,
-        report.conns_accepted,
-        report.conns_dropped
-    );
-    for tenant in &report.tenants {
-        println!(
-            "  tenant {:<8} served {:>6}  shed {:>5}  drowsy {:>5} (x{} standby, {} degrades)  \
-             service p99 {}  BER {:.3e}  energy {:.3} µJ",
-            tenant.name,
-            tenant.served,
-            tenant.shed,
-            tenant.drowsy_served,
-            tenant.standby_scale,
-            tenant.degrade_events,
-            format_ns(tenant.service.p99_ns()),
-            tenant.observed_bit_error_rate(),
-            tenant.energy_j * 1e6,
-        );
+    let mut record = Record::default();
+    record
+        .put("rate", format!("{:.3}", args.rate))
+        .put("requests", args.requests)
+        .put("connections", args.connections)
+        .put("tenants", registry.len())
+        .put("seed", args.seed)
+        .put("sent", load.sent)
+        .put("ok", load.ok)
+        .put("shed", load.shed)
+        .put("errors", load.errors)
+        .put("timed_out", load.timed_out)
+        .put("throughput_rps", format!("{:.3}", load.throughput_rps()))
+        .put("sojourn_p50_ns", load.sojourn.p50_ns())
+        .put("sojourn_p99_ns", load.sojourn.p99_ns())
+        .put("queue_p50_ns", load.queue.p50_ns())
+        .put("queue_p99_ns", load.queue.p99_ns())
+        .put("service_p50_ns", load.service.p50_ns())
+        .put("service_p99_ns", load.service.p99_ns())
+        .put("residual_p50_ns", load.residual.p50_ns())
+        .put("residual_p99_ns", load.residual.p99_ns())
+        .put("digest", format!("{:016x}", load.digest))
+        .put("server_digest", format!("{:016x}", report.digest()))
+        .put("server_served", report.served())
+        .put("server_shed", report.shed())
+        .put("bad_frames", report.bad_frames)
+        .put("pings", report.pings)
+        .put("conns_accepted", report.conns_accepted)
+        .put("conns_dropped", report.conns_dropped)
+        .put("fault_bits", server_fault_bits)
+        .put("words_read", words_read)
+        .put("observed_ber", format!("{observed_ber:.6e}"))
+        .put("energy_j", format!("{energy_j:.6e}"))
+        .put("degrade_events", total(|t| t.degrade_events))
+        .put("drowsy_served", total(|t| t.drowsy_served))
+        .put("wall_ns", load.wall.as_nanos())
+        .put("mac_kernel", mac_kernel());
+    for (i, tenant) in report.tenants.iter().enumerate() {
+        record
+            .put(format!("tenant{i}_name"), &tenant.name)
+            .put(format!("tenant{i}_served"), tenant.served)
+            .put(format!("tenant{i}_shed"), tenant.shed)
+            .put(format!("tenant{i}_drowsy_served"), tenant.drowsy_served)
+            .put(format!("tenant{i}_degrade_events"), tenant.degrade_events)
+            .put(format!("tenant{i}_queue_p99_ns"), tenant.queue.p99_ns())
+            .put(format!("tenant{i}_service_p99_ns"), tenant.service.p99_ns())
+            .put(
+                format!("tenant{i}_ber"),
+                format!("{:.6e}", tenant.observed_bit_error_rate()),
+            )
+            .put(
+                format!("tenant{i}_energy_j"),
+                format!("{:.6e}", tenant.energy_j),
+            )
+            .put(
+                format!("tenant{i}_digest"),
+                format!("{:016x}", tenant.digest),
+            );
     }
-
-    if let Some(path) = &args.report {
-        let server_fault_bits: u64 = report.tenants.iter().map(|t| t.fault_bits).sum();
-        let words_read: u64 = report.tenants.iter().map(|t| t.words_read).sum();
-        let energy_j: f64 = report.tenants.iter().map(|t| t.energy_j).sum();
-        let degrade_events: u64 = report.tenants.iter().map(|t| t.degrade_events).sum();
-        let drowsy_served: u64 = report.tenants.iter().map(|t| t.drowsy_served).sum();
-        let observed_ber = if words_read > 0 {
-            server_fault_bits as f64 / (words_read * 8) as f64
-        } else {
-            0.0
-        };
-        let mut text = format!(
-            "rate={:.3}\nrequests={}\nconnections={}\ntenants={}\nseed={}\n\
-             sent={}\nok={}\nshed={}\nerrors={}\ntimed_out={}\n\
-             throughput_rps={:.3}\n\
-             sojourn_p50_ns={}\nsojourn_p99_ns={}\n\
-             queue_p50_ns={}\nqueue_p99_ns={}\n\
-             service_p50_ns={}\nservice_p99_ns={}\n\
-             residual_p50_ns={}\nresidual_p99_ns={}\n\
-             digest={:016x}\nserver_digest={:016x}\n\
-             server_served={}\nserver_shed={}\nbad_frames={}\npings={}\n\
-             conns_accepted={}\nconns_dropped={}\n\
-             fault_bits={}\nwords_read={}\nobserved_ber={:.6e}\nenergy_j={:.6e}\n\
-             degrade_events={}\ndrowsy_served={}\nwall_ns={}\nmac_kernel={}\n",
-            args.rate,
-            args.requests,
-            args.connections,
-            registry.len(),
-            args.seed,
-            load.sent,
-            load.ok,
-            load.shed,
-            load.errors,
-            load.timed_out,
-            load.throughput_rps(),
-            load.sojourn.p50_ns(),
-            load.sojourn.p99_ns(),
-            load.queue.p50_ns(),
-            load.queue.p99_ns(),
-            load.service.p50_ns(),
-            load.service.p99_ns(),
-            load.residual.p50_ns(),
-            load.residual.p99_ns(),
-            load.digest,
-            report.digest(),
-            report.served(),
-            report.shed(),
-            report.bad_frames,
-            report.pings,
-            report.conns_accepted,
-            report.conns_dropped,
-            server_fault_bits,
-            words_read,
-            observed_ber,
-            energy_j,
-            degrade_events,
-            drowsy_served,
-            load.wall.as_nanos(),
-            mac_kernel(),
-        );
-        for (i, tenant) in report.tenants.iter().enumerate() {
-            text.push_str(&format!(
-                "tenant{i}_name={}\ntenant{i}_served={}\ntenant{i}_shed={}\n\
-                 tenant{i}_drowsy_served={}\ntenant{i}_degrade_events={}\n\
-                 tenant{i}_queue_p99_ns={}\ntenant{i}_service_p99_ns={}\n\
-                 tenant{i}_ber={:.6e}\ntenant{i}_energy_j={:.6e}\ntenant{i}_digest={:016x}\n",
-                tenant.name,
-                tenant.served,
-                tenant.shed,
-                tenant.drowsy_served,
-                tenant.degrade_events,
-                tenant.queue.p99_ns(),
-                tenant.service.p99_ns(),
-                tenant.observed_bit_error_rate(),
-                tenant.energy_j,
-                tenant.digest,
-            ));
-        }
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("could not write report {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("report written to {path}");
-    }
+    print!("{record}");
     if load.timed_out {
         eprintln!("net_bench: drain timeout fired — server could not keep up");
         std::process::exit(1);

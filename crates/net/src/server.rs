@@ -59,6 +59,7 @@ use crate::proto::{
     RequestBody, Response, Status,
 };
 use crate::registry::ModelRegistry;
+use fault_inject::model::WORD_BITS;
 use sram_serve::{classify_micro_batch, BatchQueue, LatencyHistogram};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -164,7 +165,7 @@ pub struct TenantReport {
 impl TenantReport {
     /// Injected fault bits per bit read.
     pub fn observed_bit_error_rate(&self) -> f64 {
-        let bits = self.words_read.saturating_mul(8);
+        let bits = self.words_read.saturating_mul(WORD_BITS as u64);
         if bits == 0 {
             return 0.0;
         }

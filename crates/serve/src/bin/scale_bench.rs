@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release -p sram_serve --bin scale_bench -- \
-//!     [--shards LIST] [--serve N] [--threads N] [--seed S] [--report PATH]
+//!     [--shards LIST] [--serve N] [--threads N] [--seed S]
 //! ```
 //!
 //! The paper's network holds ~25k synapses; the ROADMAP's north star is a
@@ -18,11 +18,15 @@
 //! * times a **snapshot** corruption pass (fans out per bank),
 //! * digests the stored image, the bulk read-out, and the snapshot.
 //!
+//! Stdout is one [`Record`] of `key=value` lines, the timings and digest
+//! of each shard count under keys suffixed `_{shards}`; progress goes to
+//! stderr.
+//!
 //! The digests must match across shard counts — the sharded store is
 //! bit-identical at every shard count, so sharding is a pure throughput
-//! knob. `cargo xtask scale-report` runs this binary, renders
-//! the scaling table, and (with `--gate`) fails on digest divergence or on
-//! the largest shard count loading meaningfully slower than one shard;
+//! knob. `cargo xtask scale-report` runs this binary, renders the scaling
+//! table from its record, and (with `--gate`) fails on digest divergence
+//! or on the largest shard count loading meaningfully slower than one shard;
 //! multi-core CI additionally demands a real speedup (`--min-speedup`).
 //!
 //! With `--serve N` (default 4) the run finishes by serving N requests
@@ -34,6 +38,7 @@ use neuro_system::layout;
 use neuro_system::npe::Npe;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sram_exec::report::Record;
 use sram_exec::Flags;
 use sram_serve::fixture::{million_synapse_network, scale_memory};
 use sram_serve::{byte_digest, InferenceServer, ServeOptions};
@@ -43,18 +48,15 @@ struct Args {
     shards: Vec<usize>,
     serve: usize,
     seed: u64,
-    report: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
     let raw = sram_exec::strip_threads_flag(std::env::args().skip(1).collect())?;
-    let (mut shard_list, mut serve, mut seed, mut report) =
-        (String::from("1,2,4"), 4, 0x5CA1_EB01, None);
+    let (mut shard_list, mut serve, mut seed) = (String::from("1,2,4"), 4, 0x5CA1_EB01);
     Flags::default()
         .value("--shards", &mut shard_list, |_| true)
         .value("--serve", &mut serve, |_| true)
         .value("--seed", &mut seed, |_| true)
-        .optional("--report", &mut report, |_| true)
         .parse(raw)?;
     let shards = shard_list
         .split(',')
@@ -68,50 +70,27 @@ fn parse_args() -> Result<Args, String> {
         shards,
         serve,
         seed,
-        report,
     })
-}
-
-fn format_ms(ns: u128) -> String {
-    format!("{:.1} ms", ns as f64 / 1e6)
 }
 
 fn main() {
     let args = parse_args().unwrap_or_else(|e| {
         eprintln!("error: {e}");
-        eprintln!(
-            "usage: scale_bench [--shards LIST] [--serve N] [--threads N] [--seed S] \
-             [--report PATH]"
-        );
+        eprintln!("usage: scale_bench [--shards LIST] [--serve N] [--threads N] [--seed S]");
         std::process::exit(2);
     });
 
-    println!("== scale_bench — million-synapse sharded synaptic store ==");
+    eprintln!("== scale_bench — million-synapse sharded synaptic store ==");
     let network = million_synapse_network();
     let image = layout::flatten(&network);
-    let words = image.len();
-    println!(
-        "fixture: 784-1200-64-10 MLP, {words} synaptic words, {} workers\n",
-        sram_exec::effective_threads()
-    );
-
-    let mut kv = String::new();
-    kv.push_str(&format!("words={words}\n"));
-    kv.push_str(&format!(
-        "threads={}\nshard_counts={}\n",
-        sram_exec::effective_threads(),
-        args.shards
-            .iter()
-            .map(usize::to_string)
-            .collect::<Vec<_>>()
-            .join(",")
-    ));
-
-    println!(
-        "{:<8} {:>12} {:>12} {:>12}  digest",
-        "shards", "load", "bulk read", "snapshot"
-    );
+    let shard_counts: Vec<String> = args.shards.iter().map(usize::to_string).collect();
+    let mut record = Record::default();
+    record
+        .put("words", image.len())
+        .put("threads", sram_exec::effective_threads())
+        .put("shard_counts", shard_counts.join(","));
     for &shards in &args.shards {
+        eprintln!("{shards} shard(s)...");
         let mut memory = scale_memory(&network, args.seed, shards);
         let t = Instant::now();
         memory.load(&image);
@@ -134,17 +113,12 @@ fn main() {
         combined.extend_from_slice(&(stats.total() as u64).to_le_bytes());
         let digest = byte_digest(&combined);
 
-        println!(
-            "{shards:<8} {:>12} {:>12} {:>12}  {digest:016x}",
-            format_ms(load_ns),
-            format_ms(bulk_ns),
-            format_ms(snapshot_ns),
-        );
-        kv.push_str(&format!(
-            "load_ns_{shards}={load_ns}\nbulk_ns_{shards}={bulk_ns}\n\
-             snapshot_ns_{shards}={snapshot_ns}\ndigest_{shards}={digest:016x}\n\
-             fault_bits_{shards}={fault_bits}\n"
-        ));
+        record
+            .put(format!("load_ns_{shards}"), load_ns)
+            .put(format!("bulk_ns_{shards}"), bulk_ns)
+            .put(format!("snapshot_ns_{shards}"), snapshot_ns)
+            .put(format!("digest_{shards}"), format!("{digest:016x}"))
+            .put(format!("fault_bits_{shards}"), fault_bits);
     }
 
     if args.serve > 0 {
@@ -158,27 +132,10 @@ fn main() {
         let server = InferenceServer::new(system, ServeOptions::default());
         let t = Instant::now();
         let report = server.serve(&requests);
-        let serve_ns = t.elapsed().as_nanos();
-        println!(
-            "\nserved {} requests through the {max_shards}-shard million-synapse system \
-             in {} ({:.1} ms/inference, digest {:016x})",
-            report.requests(),
-            format_ms(serve_ns),
-            serve_ns as f64 / 1e6 / report.requests().max(1) as f64,
-            report.digest()
-        );
-        kv.push_str(&format!(
-            "serve_requests={}\nserve_ns={serve_ns}\nserve_digest={:016x}\n",
-            report.requests(),
-            report.digest()
-        ));
+        record
+            .put("serve_requests", report.requests())
+            .put("serve_ns", t.elapsed().as_nanos())
+            .put("serve_digest", format!("{:016x}", report.digest()));
     }
-
-    if let Some(path) = &args.report {
-        if let Err(e) = std::fs::write(path, &kv) {
-            eprintln!("could not write report {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("report written to {path}");
-    }
+    print!("{record}");
 }

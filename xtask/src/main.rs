@@ -1,91 +1,40 @@
 //! Repository automation tasks, invoked as `cargo xtask <task>`.
 //!
-//! Two tasks:
+//! * `bench-diff`: fails when a tracked kernel runs more than
+//!   [`REGRESSION_FACTOR`]× slower than `crates/bench/BENCH.json`.
+//! * `serve-report`: `serve_bench` at 1 and 4 workers; gates identical
+//!   predictions, a positive read bandwidth, at most
+//!   [`SERVE_SLOWDOWN_FACTOR`]× slowdown and `--min-speedup`.
+//! * `scale-report`: `scale_bench` at 1/2/4 shards; gates identical images,
+//!   at most [`SERVE_SLOWDOWN_FACTOR`]× slower loads and `--min-speedup`.
+//! * `chaos-report`: `serve_bench --chaos` at 1 and 4 workers; gates
+//!   identical resilience decisions, protected accuracy within
+//!   [`CHAOS_ACCURACY_DROP`] and p99 within [`CHAOS_P99_FACTOR`]× of
+//!   healthy, and an unprotected run that falls beyond the drop.
+//! * `net-report`: `net_bench` at 2 and 8 connections plus a burst; gates
+//!   identical digests, no shed/errors/timeouts, client ≡ server digest,
+//!   sojourn p99 within `--slo-ms` ([`NET_SLO_MS`]), and a burst that sheds
+//!   without errors.
+//! * `gen-report`: `gen_report` at 1 and 4 threads; gates identical
+//!   digests, every spec built, the paper fixture layout, a fully rejected
+//!   corpus, [`GEN_RANDOM_SPECS`] clean random specs and zero failures.
 //!
-//! * **`bench-diff`** — runs the workspace benches into a scratch
-//!   `BENCH.json` (via the shim-criterion `BENCH_JSON_PATH` hook), compares
-//!   the fresh numbers against the committed `crates/bench/BENCH.json`, and
-//!   prints per-bench deltas. Exits non-zero only when a *tier-tracked
-//!   kernel* regresses by more than [`REGRESSION_FACTOR`]× — coarse enough
-//!   to ignore shared-runner noise, tight enough to catch a solver falling
-//!   back to brute force. `--no-run` skips the bench run and diffs an
-//!   existing file (`--current <path>`).
-//!
-//! * **`serve-report`** — runs the `serve_bench` load generator at 1 and 4
-//!   workers and emits a throughput/latency/energy comparison table whose
-//!   header names the NPE MAC kernel the runs used (`avx2` or `portable`)
-//!   (written to `--out`, default `target/serve-report.txt`). With
-//!   `--gate`, exits non-zero when the two runs' predictions differ
-//!   (determinism under load broken), when either run fails to emit a
-//!   positive `words_per_sec` read-bandwidth figure, or when the 4-worker
-//!   run is slower than the 1-worker run by more than
-//!   [`SERVE_SLOWDOWN_FACTOR`]×;
-//!   `--min-speedup X` additionally requires a genuine ≥X× speedup (used
-//!   by CI, whose runners are known multi-core — a single-core dev box
-//!   should gate without it). Both runs execute back-to-back in one job
-//!   on one machine, so the ratio is machine-normalized by construction.
-//!
-//! * **`scale-report`** — runs the `scale_bench` million-synapse workload
-//!   (one process, shard counts 1/2/4 back-to-back) and renders the shard
-//!   scaling table (written to `--out`, default `target/scale-report.txt`).
-//!   With `--gate`, exits non-zero when the per-shard-count digests differ
-//!   (the shard counts stored or read different bytes — a correctness
-//!   failure, never acceptable) or when the widest shard
-//!   count loads more than [`SERVE_SLOWDOWN_FACTOR`]× slower than one
-//!   shard; `--min-speedup X` additionally requires a genuine ≥X× load
-//!   speedup on known multi-core runners.
-//!
-//! * **`chaos-report`** — runs `serve_bench --chaos` (healthy / protected /
-//!   unprotected over a seeded mid-load degradation schedule) at 1 and 4
-//!   workers and renders the resilience comparison table (written to
-//!   `--out`, default `target/chaos-report.txt`). With `--gate`, exits
-//!   non-zero when any scenario's prediction digest or any resilience
-//!   counter differs between the two worker counts, when the protected
-//!   run's accuracy drops more than [`CHAOS_ACCURACY_DROP`] below healthy
-//!   or its p99 exceeds [`CHAOS_P99_FACTOR`]× healthy, or when the
-//!   *unprotected* run fails to violate the accuracy bound — the
-//!   degradation must be strong enough that surviving it is evidence the
-//!   scrub/repair loop works, not that the chaos was toothless.
-//!
-//! * **`net-report`** — spawns the `sram_net` evented TCP server via the
-//!   `net_bench` open-loop load generator three times: twice at a
-//!   sub-saturation arrival rate with different connection counts (the
-//!   determinism probe) and once in burst mode with tight in-flight caps
-//!   (the overload probe). Renders the arrival-rate/sojourn/shed table,
-//!   its header naming the NPE MAC kernel
-//!   (written to `--out`, default `target/net-report.txt`). With
-//!   `--gate`, exits non-zero when the two low-rate runs' response
-//!   digests differ (determinism across connection interleavings is
-//!   broken), when either low-rate run sheds, errors, or times out, when
-//!   a low-rate run's client *or* server digest disagree (responses were
-//!   lost or fabricated), when sojourn p99 exceeds `--slo-ms` (default
-//!   [`NET_SLO_MS`]), or when the burst run fails to shed — overload
-//!   must produce explicit `Overloaded` responses, not silence.
-//!
-//! * **`gen-report`** — runs the `sram_gen` design-space sweep
-//!   (`gen_report`: every committed spec under `crates/gen/specs/`, a
-//!   seeded random sample of the spec space, and the malformed corpus
-//!   under `crates/gen/corpus/`) twice at different worker-thread counts
-//!   and renders the per-spec digest table (written to `--out`, default
-//!   `target/gen-report.txt`). With `--gate`, exits non-zero when any
-//!   spec fails to build/characterize/smoke, when any digest differs
-//!   across worker counts (sweep observables must be pure functions of
-//!   the spec), when the generated `digits` layout stops matching the
-//!   paper's hand-wired fixture, when any corpus file is *accepted*, or
-//!   when fewer than the floor of random specs sweep cleanly.
-//!
-//! The committed baseline was recorded on a different machine than CI's
-//! shared runners, so raw wall-clock ratios would gate hardware speed, not
-//! code. Ratios are therefore normalized by the [`CALIBRATION`] kernel —
-//! `mosfet_drain_current`, a pure scalar-FP microkernel untouched by
-//! algorithmic changes — so a uniformly slower machine cancels out while a
-//! kernel regressing *relative to the machine* still trips the gate.
+//! A report task is data, a [`Plan`]: the runs of one binary, the table
+//! columns, and the gates over the records the runs print. One runner
+//! ([`run_report`]) archives each raw record under `target/`, renders the
+//! table to stdout and `--out`, and with `--gate` fails on any failed gate;
+//! a gate whose key is missing fails.
 
 use criterion::read_bench_json;
-use sram_exec::Flags;
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
-use std::process::{Command, ExitCode};
+use sram_exec::report::parse;
+use sram_exec::{fnv1a, Flags, FNV_OFFSET};
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
+use std::path::PathBuf;
+use std::process::{Command, ExitCode, ExitStatus, Stdio};
+
+#[cfg(test)]
+mod tests;
 
 /// Committed baseline location, relative to the workspace root.
 const BASELINE: &str = "crates/bench/BENCH.json";
@@ -118,14 +67,16 @@ const REGRESSION_FACTOR: f64 = 2.0;
 
 /// Machine-speed calibration kernel: ~50 ns of pure device-model floating
 /// point, dominated by `exp`/`ln` throughput and untouched by solver
-/// restructuring. The per-bench ratios are divided by this kernel's ratio
-/// before the regression check.
+/// restructuring. The committed baseline was recorded on another machine,
+/// so every per-bench ratio is divided by this kernel's ratio: a uniformly
+/// slower machine cancels out, while a kernel regressing relative to the
+/// machine still trips the gate.
 const CALIBRATION: &str = "mosfet_drain_current";
 
 /// `serve-report --gate` fails when the 4-worker serve run takes more than
 /// this factor of the 1-worker wall time (a 2-core CI runner may not reach
 /// a 2× speedup, but 4 workers must never make serving meaningfully
-/// *slower* than 1).
+/// *slower* than 1); `scale-report` holds the 4-shard load to the same.
 const SERVE_SLOWDOWN_FACTOR: f64 = 1.5;
 
 /// `net-report --gate`'s default client-side sojourn p99 bound,
@@ -147,31 +98,92 @@ const CHAOS_ACCURACY_DROP: f64 = 0.02;
 /// across waves; a blowup here means maintenance is on the request path).
 const CHAOS_P99_FACTOR: f64 = 2.0;
 
+/// The resilience counters `chaos-report` requires to be bit-identical
+/// across worker counts (everything the scrub/repair/governor loop
+/// decides, plus each scenario's prediction digest).
+const CHAOS_INVARIANT_KEYS: &[&str] = &[
+    "healthy_digest",
+    "protected_digest",
+    "unprotected_digest",
+    "healthy_accuracy",
+    "protected_accuracy",
+    "unprotected_accuracy",
+    "bist_weak_words",
+    "bist_weak_bits",
+    "bist_digest",
+    "scrub_sweeps",
+    "corrected_words",
+    "corrected_bits",
+    "uncorrectable_words",
+    "rows_repaired",
+    "spare_rows_free",
+    "governor_boosts",
+];
+
+/// Shard counts `scale-report` asks `scale_bench` for (ascending; the
+/// scaling gates compare the last against the first).
+const SCALE_SHARDS: [&str; 3] = ["1", "2", "4"];
+
+/// Random specs per `gen-report` run, and the floor of clean ones.
+const GEN_RANDOM_SPECS: usize = 8;
+
+/// What a task does: the bench diff, or a report built from its [`Plan`].
+enum Kind {
+    BenchDiff,
+    Report(fn(&Opts) -> Plan),
+}
+
+/// Every task: its name, its own flags as usage prints them, and what it
+/// does. A report task also takes `--gate` and `--out <path>`, and accepts
+/// exactly the flags named here.
+const TASKS: &[(&str, &str, Kind)] = &[
+    (
+        "bench-diff",
+        "[--no-run] [--current <path>]",
+        Kind::BenchDiff,
+    ),
+    (
+        "serve-report",
+        "[--min-speedup X] [--requests N]",
+        Kind::Report(serve_plan),
+    ),
+    (
+        "scale-report",
+        "[--min-speedup X]",
+        Kind::Report(scale_plan),
+    ),
+    ("chaos-report", "[--requests N]", Kind::Report(chaos_plan)),
+    (
+        "net-report",
+        "[--requests N] [--rate R] [--slo-ms X]",
+        Kind::Report(net_plan),
+    ),
+    ("gen-report", "[--random N]", Kind::Report(gen_plan)),
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let task = match args.first().map(String::as_str) {
-        Some("bench-diff") => bench_diff,
-        Some("serve-report") => serve_report,
-        Some("scale-report") => scale_report,
-        Some("chaos-report") => chaos_report,
-        Some("net-report") => net_report,
-        Some("gen-report") => gen_report,
-        _ => {
-            eprintln!("usage: cargo xtask bench-diff [--no-run] [--current <path>]");
-            eprintln!(
-                "       cargo xtask serve-report [--gate] [--min-speedup X] [--requests N] [--out <path>]"
-            );
-            eprintln!("       cargo xtask scale-report [--gate] [--min-speedup X] [--out <path>]");
-            eprintln!("       cargo xtask chaos-report [--gate] [--requests N] [--out <path>]");
-            eprintln!(
-                "       cargo xtask net-report [--gate] [--requests N] [--rate R] [--slo-ms X] [--out <path>]"
-            );
-            eprintln!("       cargo xtask gen-report [--gate] [--random N] [--out <path>]");
-            return ExitCode::FAILURE;
+    let task = TASKS
+        .iter()
+        .find(|t| args.first().is_some_and(|a| a == t.0));
+    let Some((name, flags, kind)) = task else {
+        for (name, flags, kind) in TASKS {
+            let common = match kind {
+                Kind::BenchDiff => "",
+                Kind::Report(_) => "[--gate] [--out <path>] ",
+            };
+            eprintln!("usage: cargo xtask {name} {common}{flags}");
+        }
+        return ExitCode::FAILURE;
+    };
+    let result = match kind {
+        Kind::BenchDiff => bench_diff(&args[1..]),
+        Kind::Report(plan) => {
+            parse_opts(flags, &args[1..]).and_then(|opts| run_report(name, &plan(&opts), &opts))
         }
     };
-    task(&args[1..]).unwrap_or_else(|e| {
-        eprintln!("{}: {e}", args[0]);
+    result.unwrap_or_else(|e| {
+        eprintln!("{name}: {e}");
         ExitCode::FAILURE
     })
 }
@@ -248,46 +260,46 @@ fn bench_diff(args: &[String]) -> TaskResult {
     };
     println!("machine scale ({CALIBRATION}): {machine_scale:.2}x");
 
-    println!(
-        "{:<48} {:>12} {:>12} {:>9}  status",
-        "benchmark", "baseline", "current", "ratio"
-    );
+    let header = ["benchmark", "baseline", "current", "ratio", "status"];
+    let mut rows = vec![header.map(String::from).to_vec()];
     let mut regressions = Vec::new();
     for (name, &new_ns) in &current {
-        let Some(&old_ns) = baseline.get(name) else {
-            println!(
-                "{name:<48} {:>12} {:>12} {:>9}  new",
-                "-",
-                format_ns(new_ns),
-                "-"
-            );
-            continue;
-        };
         // Normalized: how much slower this kernel got relative to how much
         // slower the machine itself is.
-        let ratio = new_ns / old_ns / machine_scale;
+        let old_ns = baseline.get(name);
+        let ratio = old_ns.map(|old_ns| new_ns / old_ns / machine_scale);
         let tracked = TRACKED.contains(&name.as_str());
-        let status = if tracked && ratio > REGRESSION_FACTOR {
-            regressions.push((name.clone(), ratio));
-            "REGRESSED"
-        } else if tracked {
-            "tracked"
-        } else {
-            ""
+        let status = match ratio {
+            None => "new",
+            Some(r) if tracked && r > REGRESSION_FACTOR => {
+                regressions.push((name.clone(), r));
+                "REGRESSED"
+            }
+            _ if tracked => "tracked",
+            _ => "",
         };
-        println!(
-            "{name:<48} {:>12} {:>12} {:>8.2}x  {status}",
-            format_ns(old_ns),
+        let old = old_ns.map_or("-".to_string(), |&ns| format_ns(ns));
+        let ratio = ratio.map_or("-".to_string(), |r| format!("{r:.2}x"));
+        rows.push(vec![
+            name.clone(),
+            old,
             format_ns(new_ns),
-            ratio
-        );
+            ratio,
+            status.into(),
+        ]);
     }
     for name in baseline.keys() {
         if !current.contains_key(name) && TRACKED.contains(&name.as_str()) {
             regressions.push((name.clone(), f64::INFINITY));
-            println!("{name:<48} (tracked kernel missing from fresh run)  REGRESSED");
+            let missing = "missing from the fresh run";
+            rows.push(
+                [name, "-", missing, "-", "REGRESSED"]
+                    .map(String::from)
+                    .to_vec(),
+            );
         }
     }
+    print!("{}", table(&rows));
 
     if regressions.is_empty() {
         println!("\nno tracked kernel regressed beyond {REGRESSION_FACTOR}x");
@@ -301,861 +313,611 @@ fn bench_diff(args: &[String]) -> TaskResult {
     }
 }
 
-/// A parsed `key=value` report.
-type Report = BTreeMap<String, String>;
+/// A parsed record: key → value.
+type Kv = BTreeMap<String, String>;
 
-/// The value of `key` in `kv`, or `-` when the report lacks it.
-fn get_str<'a>(kv: &'a Report, key: &str) -> &'a str {
-    kv.get(key).map(String::as_str).unwrap_or("-")
-}
-
-/// The workspace `target/` directory (created if missing), where the
-/// reports and the raw runs behind them are written.
-fn target_dir() -> PathBuf {
-    let target = std::env::current_dir().unwrap_or_default().join("target");
-    let _ = std::fs::create_dir_all(&target);
-    target
-}
-
-/// Runs the release build of workspace binary `bin` from `package` with
-/// `args` plus `--report <report>`, and parses the `key=value` report it
-/// writes there.
-fn run_bin_report(
-    package: &str,
-    bin: &str,
-    args: &[&str],
-    report: &Path,
-) -> Result<Report, String> {
-    let _ = std::fs::remove_file(report);
-    let status = Command::new(env!("CARGO"))
-        .args(["run", "--release", "-q", "-p", package, "--bin", bin, "--"])
-        .args(args)
-        .arg("--report")
-        .arg(report)
-        .status()
-        .map_err(|e| format!("could not launch {bin}: {e}"))?;
-    if !status.success() {
-        return Err(format!("{bin} {} failed: {status}", args.join(" ")));
-    }
-    let text = std::fs::read_to_string(report)
-        .map_err(|e| format!("no report at {}: {e}", report.display()))?;
-    Ok(text
-        .lines()
-        .filter_map(|line| line.split_once('='))
-        .map(|(k, v)| (k.trim().to_string(), v.trim().to_string()))
-        .collect())
-}
-
-/// Prints `table` and writes it to `out_path`.
-fn emit_table(table: &str, out_path: &str, what: &str) -> Result<(), String> {
-    print!("{table}");
-    std::fs::write(out_path, table).map_err(|e| format!("could not write {out_path}: {e}"))?;
-    eprintln!("{what} report written to {out_path}");
-    Ok(())
-}
-
-/// Shard counts `scale-report` asks `scale_bench` for (ascending; the
-/// scaling gate compares the last against the first).
-const SCALE_SHARDS: &[usize] = &[1, 2, 4];
-
-fn scale_report(args: &[String]) -> TaskResult {
-    let mut gate = false;
-    let mut out_path = "target/scale-report.txt".to_string();
-    let mut min_speedup: Option<f64> = None;
-    Flags::default()
-        .switch("--gate", &mut gate)
-        .optional("--min-speedup", &mut min_speedup, |&x| {
-            x > 0.0 && x.is_finite()
-        })
-        .value("--out", &mut out_path, |_| true)
-        .parse(args.iter().cloned())?;
-
-    let shard_list = SCALE_SHARDS
-        .iter()
-        .map(usize::to_string)
-        .collect::<Vec<_>>()
-        .join(",");
-    eprintln!("running scale_bench (shards {shard_list})...");
-    let kv = run_bin_report(
-        "sram_serve",
-        "scale_bench",
-        &["--shards", &shard_list],
-        &target_dir().join("scale-bench.txt"),
-    )?;
-
-    let get_ns = |key: &str| kv.get(key).and_then(|v| v.parse::<f64>().ok());
-    let mut table = String::new();
-    table.push_str(&format!(
-        "scale-report — {} synaptic words through the sharded store ({} threads)\n\n",
-        kv.get("words").map(String::as_str).unwrap_or("?"),
-        kv.get("threads").map(String::as_str).unwrap_or("?"),
-    ));
-    table.push_str(&format!(
-        "{:<8} {:>12} {:>12} {:>12}  digest\n",
-        "shards", "load", "bulk read", "snapshot"
-    ));
-    for &shards in SCALE_SHARDS {
-        table.push_str(&format!(
-            "{shards:<8} {:>12} {:>12} {:>12}  {}\n",
-            format_ns(get_ns(&format!("load_ns_{shards}")).unwrap_or(f64::NAN)),
-            format_ns(get_ns(&format!("bulk_ns_{shards}")).unwrap_or(f64::NAN)),
-            format_ns(get_ns(&format!("snapshot_ns_{shards}")).unwrap_or(f64::NAN)),
-            kv.get(&format!("digest_{shards}"))
-                .map(String::as_str)
-                .unwrap_or("-"),
-        ));
-    }
-
-    let first = SCALE_SHARDS[0];
-    let last = SCALE_SHARDS[SCALE_SHARDS.len() - 1];
-    let speedup = get_ns(&format!("load_ns_{first}")).unwrap_or(f64::NAN)
-        / get_ns(&format!("load_ns_{last}")).unwrap_or(f64::NAN);
-    let digests: Vec<Option<&String>> = SCALE_SHARDS
-        .iter()
-        .map(|s| kv.get(&format!("digest_{s}")))
-        .collect();
-    let identical = digests.iter().all(|d| d.is_some()) && digests.windows(2).all(|w| w[0] == w[1]);
-    table.push_str(&format!(
-        "\n{last}-shard load speedup: {speedup:.2}x\nimages across shard counts: {}\n",
-        if identical { "IDENTICAL" } else { "DIVERGED" },
-    ));
-
-    emit_table(&table, &out_path, "scale")?;
-
-    if gate {
-        let mut failed = false;
-        if !identical {
-            eprintln!(
-                "GATE FAILED: sharded images diverge across shard counts {SCALE_SHARDS:?} \
-                 (sharding must never change a stored or read byte)"
-            );
-            failed = true;
-        }
-        if !(speedup.is_finite() && speedup > 0.0) {
-            eprintln!("GATE FAILED: could not compute the {last}-shard load speedup");
-            failed = true;
-        } else if speedup < 1.0 / SERVE_SLOWDOWN_FACTOR {
-            eprintln!(
-                "GATE FAILED: {last} shards load {:.2}x slower than 1 shard \
-                 (allowed: {SERVE_SLOWDOWN_FACTOR}x)",
-                1.0 / speedup
-            );
-            failed = true;
-        } else if let Some(floor) = min_speedup {
-            if speedup < floor {
-                eprintln!(
-                    "GATE FAILED: {last}-shard load speedup {speedup:.2}x is below the \
-                     required {floor:.2}x (--min-speedup)"
-                );
-                failed = true;
-            }
-        }
-        if failed {
-            return Ok(ExitCode::FAILURE);
-        }
-        println!("scale gate passed: images identical, {last}-shard load speedup {speedup:.2}x");
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-fn serve_report(args: &[String]) -> TaskResult {
-    let mut gate = false;
-    let mut requests = 512usize;
-    let mut out_path = "target/serve-report.txt".to_string();
-    let mut min_speedup: Option<f64> = None;
-    Flags::default()
-        .switch("--gate", &mut gate)
-        .value("--requests", &mut requests, |&n| n > 0)
-        .optional("--min-speedup", &mut min_speedup, |&x| {
-            x > 0.0 && x.is_finite()
-        })
-        .value("--out", &mut out_path, |_| true)
-        .parse(args.iter().cloned())?;
-
-    let target = target_dir();
-    let worker_counts = [1usize, 4];
-    let mut reports = Vec::new();
-    for &workers in &worker_counts {
-        let preds_path = target.join(format!("serve-preds-{workers}w.txt"));
-        let _ = std::fs::remove_file(&preds_path);
-        eprintln!("running serve_bench at {workers} worker(s)...");
-        let kv = run_bin_report(
-            "sram_serve",
-            "serve_bench",
-            &[
-                "--requests",
-                &requests.to_string(),
-                "--threads",
-                &workers.to_string(),
-                "--predictions",
-                &preds_path.display().to_string(),
-            ],
-            &target.join(format!("serve-{workers}w.txt")),
-        )?;
-        let preds = std::fs::read(&preds_path)
-            .map_err(|e| format!("no predictions at {}: {e}", preds_path.display()))?;
-        reports.push((workers, kv, preds));
-    }
-
-    let get_f64 = |kv: &Report, key: &str| kv.get(key).and_then(|v| v.parse::<f64>().ok());
-    let mut table = String::new();
-    table.push_str(&format!(
-        "serve-report — {requests} requests through the hybrid 8T-6T serving layer, {} MAC\n\n",
-        get_str(&reports[0].1, "mac_kernel"),
-    ));
-    table.push_str(&format!(
-        "{:<8} {:>14} {:>15} {:>12} {:>12} {:>12} {:>12} {:>14} {:>14} {:>12}  digest\n",
-        "workers",
-        "throughput",
-        "read bw",
-        "p50",
-        "p99",
-        "queue p99",
-        "svc p99",
-        "energy/inf",
-        "standby",
-        "BER"
-    ));
-    for (workers, kv, _) in &reports {
-        let row = format!(
-            "{:<8} {:>10.1} r/s {:>9.3e} w/s {:>12} {:>12} {:>12} {:>12} {:>11.3} nJ {:>11.3} µW {:>12}  {}\n",
-            workers,
-            get_f64(kv, "throughput_rps").unwrap_or(0.0),
-            get_f64(kv, "words_per_sec").unwrap_or(0.0),
-            format_ns(get_f64(kv, "p50_ns").unwrap_or(0.0)),
-            format_ns(get_f64(kv, "p99_ns").unwrap_or(0.0)),
-            format_ns(get_f64(kv, "queue_p99_ns").unwrap_or(0.0)),
-            format_ns(get_f64(kv, "service_p99_ns").unwrap_or(0.0)),
-            get_f64(kv, "energy_per_inference_j").unwrap_or(0.0) * 1e9,
-            get_f64(kv, "standby_leakage_w").unwrap_or(0.0) * 1e6,
-            get_str(kv, "observed_ber"),
-            get_str(kv, "digest"),
-        );
-        table.push_str(&row);
-    }
-
-    let wall_1 = get_f64(&reports[0].1, "wall_ns").unwrap_or(f64::NAN);
-    let wall_4 = get_f64(&reports[1].1, "wall_ns").unwrap_or(f64::NAN);
-    let speedup = wall_1 / wall_4;
-    let identical = reports[0].2 == reports[1].2
-        && reports[0].1.contains_key("digest")
-        && reports[0].1.get("digest") == reports[1].1.get("digest");
-    table.push_str(&format!(
-        "\n4-worker speedup: {speedup:.2}x (wall {} -> {})\npredictions across worker counts: {}\n",
-        format_ns(wall_1),
-        format_ns(wall_4),
-        if identical { "IDENTICAL" } else { "DIVERGED" },
-    ));
-
-    emit_table(&table, &out_path, "serve")?;
-
-    if gate {
-        let mut failed = false;
-        if !identical {
-            eprintln!(
-                "GATE FAILED: served predictions differ between 1 and 4 workers \
-                 (determinism under load is broken)"
-            );
-            failed = true;
-        }
-        // The bulk-read datapath's bandwidth figure must actually be
-        // emitted (and be a positive rate) by every run.
-        for (workers, kv, _) in &reports {
-            match get_f64(kv, "words_per_sec") {
-                Some(wps) if wps > 0.0 => {}
-                _ => {
-                    eprintln!(
-                        "GATE FAILED: {workers}-worker report is missing a positive \
-                         words_per_sec field"
-                    );
-                    failed = true;
-                }
-            }
-        }
-        if !(speedup.is_finite() && speedup > 0.0) {
-            eprintln!("GATE FAILED: could not compute the 4-worker speedup");
-            failed = true;
-        } else if speedup < 1.0 / SERVE_SLOWDOWN_FACTOR {
-            eprintln!(
-                "GATE FAILED: 4 workers are {:.2}x slower than 1 worker \
-                 (allowed: {SERVE_SLOWDOWN_FACTOR}x)",
-                1.0 / speedup
-            );
-            failed = true;
-        } else if let Some(floor) = min_speedup {
-            // Opt-in scaling floor for known-multi-core runners: the
-            // serving layer must actually get faster with workers, not
-            // merely avoid getting slower.
-            if speedup < floor {
-                eprintln!(
-                    "GATE FAILED: 4-worker speedup {speedup:.2}x is below the \
-                     required {floor:.2}x (--min-speedup)"
-                );
-                failed = true;
-            }
-        }
-        if failed {
-            return Ok(ExitCode::FAILURE);
-        }
-        println!("serve-load gate passed: predictions identical, 4-worker speedup {speedup:.2}x");
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-/// The resilience counters `chaos-report` requires to be bit-identical
-/// across worker counts (everything the scrub/repair/governor loop
-/// decides, plus each scenario's prediction digest).
-const CHAOS_INVARIANT_KEYS: &[&str] = &[
-    "healthy_digest",
-    "protected_digest",
-    "unprotected_digest",
-    "healthy_accuracy",
-    "protected_accuracy",
-    "unprotected_accuracy",
-    "bist_weak_words",
-    "bist_weak_bits",
-    "bist_digest",
-    "scrub_sweeps",
-    "corrected_words",
-    "corrected_bits",
-    "uncorrectable_words",
-    "rows_repaired",
-    "spare_rows_free",
-    "governor_boosts",
-];
-
-fn chaos_report(args: &[String]) -> TaskResult {
-    let mut gate = false;
-    let mut requests = 512usize;
-    let mut out_path = "target/chaos-report.txt".to_string();
-    Flags::default()
-        .switch("--gate", &mut gate)
-        .value("--requests", &mut requests, |&n| n > 0)
-        .value("--out", &mut out_path, |_| true)
-        .parse(args.iter().cloned())?;
-
-    let target = target_dir();
-    let worker_counts = [1usize, 4];
-    let mut reports = Vec::new();
-    for &workers in &worker_counts {
-        eprintln!("running serve_bench --chaos at {workers} worker(s)...");
-        let kv = run_bin_report(
-            "sram_serve",
-            "serve_bench",
-            &[
-                "--chaos",
-                "--requests",
-                &requests.to_string(),
-                "--threads",
-                &workers.to_string(),
-            ],
-            &target.join(format!("chaos-{workers}w.txt")),
-        )?;
-        reports.push((workers, kv));
-    }
-
-    let kv = &reports[0].1;
-    let get_f64 = |key: &str| kv.get(key).and_then(|v| v.parse::<f64>().ok());
-    let get_str = |key: &str| kv.get(key).map(String::as_str).unwrap_or("-");
-    let mut table = String::new();
-    table.push_str(&format!(
-        "chaos-report — {requests} requests, one shard degraded mid-load over {} waves\n\n",
-        get_str("waves"),
-    ));
-    table.push_str(&format!(
-        "{:<14} {:>9} {:>12}  digest\n",
-        "scenario", "accuracy", "p99"
-    ));
-    for scenario in ["healthy", "protected", "unprotected"] {
-        table.push_str(&format!(
-            "{scenario:<14} {:>9.3} {:>12}  {}\n",
-            get_f64(&format!("{scenario}_accuracy")).unwrap_or(f64::NAN),
-            format_ns(get_f64(&format!("{scenario}_p99_ns")).unwrap_or(f64::NAN)),
-            get_str(&format!("{scenario}_digest")),
-        ));
-    }
-    table.push_str(&format!(
-        "\nbist: {} weak words / {} weak bits (digest {})\n\
-         scrub: {} sweeps, {} corrected words / {} bits, {} uncorrectable\n\
-         repair: {} rows remapped, {} spares free; governor boosts {}\n",
-        get_str("bist_weak_words"),
-        get_str("bist_weak_bits"),
-        get_str("bist_digest"),
-        get_str("scrub_sweeps"),
-        get_str("corrected_words"),
-        get_str("corrected_bits"),
-        get_str("uncorrectable_words"),
-        get_str("rows_repaired"),
-        get_str("spare_rows_free"),
-        get_str("governor_boosts"),
-    ));
-
-    let diverged: Vec<&str> = CHAOS_INVARIANT_KEYS
-        .iter()
-        .copied()
-        .filter(|key| reports[0].1.get(*key) != reports[1].1.get(*key))
-        .collect();
-    table.push_str(&format!(
-        "\nresilience decisions across worker counts: {}\n",
-        if diverged.is_empty() {
-            "IDENTICAL".to_string()
-        } else {
-            format!("DIVERGED ({})", diverged.join(", "))
-        },
-    ));
-
-    emit_table(&table, &out_path, "chaos")?;
-
-    if gate {
-        let mut failed = false;
-        if !diverged.is_empty() {
-            eprintln!(
-                "GATE FAILED: resilience outcomes differ between 1 and 4 workers: {}",
-                diverged.join(", ")
-            );
-            failed = true;
-        }
-        let healthy_acc = get_f64("healthy_accuracy");
-        let protected_acc = get_f64("protected_accuracy");
-        let unprotected_acc = get_f64("unprotected_accuracy");
-        let healthy_p99 = get_f64("healthy_p99_ns");
-        let protected_p99 = get_f64("protected_p99_ns");
-        match (healthy_acc, protected_acc, unprotected_acc) {
-            (Some(h), Some(p), Some(u)) => {
-                if p < h - CHAOS_ACCURACY_DROP {
-                    eprintln!(
-                        "GATE FAILED: protected accuracy {p:.3} dropped more than \
-                         {CHAOS_ACCURACY_DROP} below healthy {h:.3}"
-                    );
-                    failed = true;
-                }
-                if u >= h - CHAOS_ACCURACY_DROP {
-                    eprintln!(
-                        "GATE FAILED: unprotected accuracy {u:.3} survived within \
-                         {CHAOS_ACCURACY_DROP} of healthy {h:.3} — the degradation \
-                         schedule is too weak to exercise the resilience loop"
-                    );
-                    failed = true;
-                }
-            }
-            _ => {
-                eprintln!("GATE FAILED: report is missing scenario accuracies");
-                failed = true;
-            }
-        }
-        match (healthy_p99, protected_p99) {
-            (Some(h), Some(p)) if h > 0.0 => {
-                if p > h * CHAOS_P99_FACTOR {
-                    eprintln!(
-                        "GATE FAILED: protected p99 {} exceeds {CHAOS_P99_FACTOR}x \
-                         healthy p99 {}",
-                        format_ns(p),
-                        format_ns(h)
-                    );
-                    failed = true;
-                }
-            }
-            _ => {
-                eprintln!("GATE FAILED: report is missing scenario p99 latencies");
-                failed = true;
-            }
-        }
-        if failed {
-            return Ok(ExitCode::FAILURE);
-        }
-        println!(
-            "chaos gate passed: decisions identical across workers, protected run held \
-             the accuracy and p99 bounds, unprotected run measurably failed"
-        );
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-/// The three `net_bench` runs `net-report` drives: two sub-saturation
-/// runs at different connection counts (the determinism probe) and one
-/// burst run with tight in-flight caps (the overload probe).
-struct NetRun {
-    label: &'static str,
-    connections: usize,
-    /// `None` = the configured `--rate`; `Some(0.0)` = burst.
+/// A report task's options, parsed from the flags its usage names; each
+/// plan applies its own defaults.
+#[derive(Default)]
+struct Opts {
+    gate: bool,
+    out: Option<String>,
+    min_speedup: Option<f64>,
+    requests: Option<usize>,
     rate: Option<f64>,
-    /// Extra `net_bench` flags (in-flight caps for the burst probe).
-    extra: &'static [&'static str],
+    slo_ms: Option<f64>,
+    random: Option<usize>,
 }
 
-const NET_RUNS: &[NetRun] = &[
-    NetRun {
-        label: "low/2conn",
-        connections: 2,
-        rate: None,
-        extra: &[],
-    },
-    NetRun {
-        label: "low/8conn",
-        connections: 8,
-        rate: None,
-        extra: &[],
-    },
-    NetRun {
-        label: "burst/4conn",
-        connections: 4,
-        rate: Some(0.0),
-        extra: &["--global-inflight", "64", "--soft-inflight", "32"],
-    },
-];
-
-fn net_report(args: &[String]) -> TaskResult {
-    let mut gate = false;
-    let mut requests = 256usize;
-    let mut rate = 600.0f64;
-    let mut slo_ms = NET_SLO_MS;
-    let mut out_path = "target/net-report.txt".to_string();
-    Flags::default()
-        .switch("--gate", &mut gate)
-        .value("--requests", &mut requests, |&n| n > 0)
-        .value("--rate", &mut rate, |&r| r > 0.0 && r.is_finite())
-        .value("--slo-ms", &mut slo_ms, |&x| x > 0.0 && x.is_finite())
-        .value("--out", &mut out_path, |_| true)
-        .parse(args.iter().cloned())?;
-
-    let target = target_dir();
-    let mut reports = Vec::new();
-    for run in NET_RUNS {
-        let run_rate = run.rate.unwrap_or(rate);
-        eprintln!(
-            "running net_bench {} ({} req, rate {}, {} connections)...",
-            run.label,
-            requests,
-            if run_rate > 0.0 {
-                format!("{run_rate:.0}/s")
-            } else {
-                "burst".to_string()
-            },
-            run.connections
-        );
-        let (requests_arg, rate_arg, connections_arg) = (
-            requests.to_string(),
-            run_rate.to_string(),
-            run.connections.to_string(),
-        );
-        let mut bin_args = vec![
-            "--tenants",
-            "2",
-            "--requests",
-            &requests_arg,
-            "--rate",
-            &rate_arg,
-            "--connections",
-            &connections_arg,
-        ];
-        bin_args.extend(run.extra);
-        let kv = run_bin_report(
-            "sram_net",
-            "net_bench",
-            &bin_args,
-            &target.join(format!("net-{}.txt", run.label.replace('/', "-"))),
-        )?;
-        reports.push((run, kv));
+/// Parses `args` for a report task, accepting `--gate`, `--out` and only
+/// the other flags its `usage` names.
+fn parse_opts(usage: &str, args: &[String]) -> Result<Opts, String> {
+    let mut o = Opts::default();
+    let takes = |flag: &str| usage.split(['[', ']', ' ']).any(|word| word == flag);
+    let positive = |x: &f64| *x > 0.0 && x.is_finite();
+    let mut flags =
+        Flags::default()
+            .switch("--gate", &mut o.gate)
+            .optional("--out", &mut o.out, |_| true);
+    if takes("--min-speedup") {
+        flags = flags.optional("--min-speedup", &mut o.min_speedup, positive);
     }
-
-    let get_f64 = |kv: &Report, key: &str| kv.get(key).and_then(|v| v.parse::<f64>().ok());
-    let mut table = String::new();
-    table.push_str(&format!(
-        "net-report — {requests} open-loop requests over real sockets, 2 resident tenants, {} MAC\n\n",
-        get_str(&reports[0].1, "mac_kernel"),
-    ));
-    table.push_str(&format!(
-        "{:<12} {:>6} {:>6} {:>6} {:>5} {:>12} {:>12} {:>12} {:>12}  digest\n",
-        "run",
-        "sent",
-        "ok",
-        "shed",
-        "err",
-        "sojourn p50",
-        "sojourn p99",
-        "service p99",
-        "residual p50"
-    ));
-    for (run, kv) in &reports {
-        table.push_str(&format!(
-            "{:<12} {:>6} {:>6} {:>6} {:>5} {:>12} {:>12} {:>12} {:>12}  {}\n",
-            run.label,
-            get_str(kv, "sent"),
-            get_str(kv, "ok"),
-            get_str(kv, "shed"),
-            get_str(kv, "errors"),
-            format_ns(get_f64(kv, "sojourn_p50_ns").unwrap_or(f64::NAN)),
-            format_ns(get_f64(kv, "sojourn_p99_ns").unwrap_or(f64::NAN)),
-            format_ns(get_f64(kv, "service_p99_ns").unwrap_or(f64::NAN)),
-            format_ns(get_f64(kv, "residual_p50_ns").unwrap_or(f64::NAN)),
-            get_str(kv, "digest"),
-        ));
+    if takes("--requests") {
+        flags = flags.optional("--requests", &mut o.requests, |&n| n > 0);
     }
-
-    let low = &reports[0];
-    let low_alt = &reports[1];
-    let burst = &reports[2];
-    let digests_match =
-        low.1.contains_key("digest") && low.1.get("digest") == low_alt.1.get("digest");
-    table.push_str(&format!(
-        "\ndigests across connection counts: {}\n",
-        if digests_match {
-            "IDENTICAL"
-        } else {
-            "DIVERGED"
-        },
-    ));
-    table.push_str(&format!(
-        "burst probe: {} shed of {} sent ({} degrade events, {} served drowsy)\n",
-        get_str(&burst.1, "shed"),
-        get_str(&burst.1, "sent"),
-        get_str(&burst.1, "degrade_events"),
-        get_str(&burst.1, "drowsy_served"),
-    ));
-
-    emit_table(&table, &out_path, "net")?;
-
-    if gate {
-        let mut failed = false;
-        if !digests_match {
-            eprintln!(
-                "GATE FAILED: response digests differ between {} and {} \
-                 (determinism across connection interleavings is broken)",
-                low.0.label, low_alt.0.label
-            );
-            failed = true;
-        }
-        for (run, kv) in [low, low_alt] {
-            // Sub-saturation runs must serve everything: any shed, error,
-            // or timeout at this rate is a capacity/liveness regression —
-            // and the digest comparison is only meaningful at zero shed.
-            for key in ["shed", "errors"] {
-                if get_f64(kv, key).unwrap_or(f64::NAN) != 0.0 {
-                    eprintln!(
-                        "GATE FAILED: {} run has nonzero {key} at the sub-saturation rate",
-                        run.label
-                    );
-                    failed = true;
-                }
-            }
-            if kv.get("timed_out").map(String::as_str) != Some("false") {
-                eprintln!("GATE FAILED: {} run timed out draining", run.label);
-                failed = true;
-            }
-            if kv.get("digest") != kv.get("server_digest") {
-                eprintln!(
-                    "GATE FAILED: {} run's client and server digests disagree \
-                     (responses were lost or fabricated)",
-                    run.label
-                );
-                failed = true;
-            }
-            match get_f64(kv, "sojourn_p99_ns") {
-                Some(p99) if p99 > 0.0 => {
-                    if p99 > slo_ms * 1e6 {
-                        eprintln!(
-                            "GATE FAILED: {} sojourn p99 {} exceeds the {slo_ms} ms SLO",
-                            run.label,
-                            format_ns(p99)
-                        );
-                        failed = true;
-                    }
-                }
-                _ => {
-                    eprintln!("GATE FAILED: {} run is missing sojourn_p99_ns", run.label);
-                    failed = true;
-                }
-            }
-        }
-        // The burst probe must actually overload: explicit sheds prove the
-        // admission path answers under pressure instead of hanging.
-        if get_f64(&burst.1, "shed").unwrap_or(0.0) <= 0.0 {
-            eprintln!(
-                "GATE FAILED: burst run shed nothing — the overload probe no longer \
-                 exercises admission control"
-            );
-            failed = true;
-        }
-        if get_f64(&burst.1, "errors").unwrap_or(f64::NAN) != 0.0 {
-            eprintln!("GATE FAILED: burst run has errors (overload must shed, not break)");
-            failed = true;
-        }
-        if failed {
-            return Ok(ExitCode::FAILURE);
-        }
-        println!(
-            "net gate passed: digests identical across connection counts, zero shed at \
-             {rate:.0}/s, sojourn p99 within {slo_ms} ms, burst probe shed explicitly"
-        );
+    if takes("--rate") {
+        flags = flags.optional("--rate", &mut o.rate, positive);
     }
-    Ok(ExitCode::SUCCESS)
+    if takes("--slo-ms") {
+        flags = flags.optional("--slo-ms", &mut o.slo_ms, positive);
+    }
+    if takes("--random") {
+        flags = flags.optional("--random", &mut o.random, |&n| n > 0);
+    }
+    flags.parse(args.iter().cloned())?;
+    Ok(o)
 }
 
-/// Worker counts `gen-report` sweeps the design space at; every digest in
-/// the report must be identical across them (observables are functions of
-/// the spec and seeds, never of scheduling).
-const GEN_THREADS: &[usize] = &[1, 4];
+/// One run of a workspace binary, whose stdout is one record: its row
+/// label, its `cargo run` arguments after `--release -q` (package, bin,
+/// `--`, the binary's flags), and the file under `target/` its raw record
+/// is archived as. A run that passes `--predictions PATH` also gets that
+/// file's FNV-1a digest in its record, as `predictions_file`.
+struct Run(String, String, String);
 
-/// Random specs per `gen-report` run (the issue's sweep floor).
-const GEN_RANDOM_SPECS: usize = 8;
+/// How a column shows its value.
+#[derive(Clone, Copy)]
+enum Show {
+    Raw,
+    Ns,
+    /// The value times a scale, to so many decimals, then a unit.
+    Num(f64, usize, &'static str),
+}
 
-fn gen_report(args: &[String]) -> TaskResult {
-    let mut gate = false;
-    let mut out_path = "target/gen-report.txt".to_string();
-    let mut random = GEN_RANDOM_SPECS;
-    Flags::default()
-        .switch("--gate", &mut gate)
-        .value("--random", &mut random, |&n| n > 0)
-        .value("--out", &mut out_path, |_| true)
-        .parse(args.iter().cloned())?;
+/// A table column: header, record key (`*` stands for the row's tag), and
+/// how the value shows.
+struct Column(&'static str, &'static str, Show);
 
-    let target = target_dir();
-    let mut reports = Vec::new();
-    for &threads in GEN_THREADS {
-        eprintln!("sweeping the design space ({random} random specs, {threads} worker threads)...");
-        let kv = run_bin_report(
-            "sram_gen",
-            "gen_report",
-            &[
-                "--specs-dir",
-                "crates/gen/specs",
-                "--corpus-dir",
-                "crates/gen/corpus",
-                "--random",
-                &random.to_string(),
-                "--threads",
-                &threads.to_string(),
-            ],
-            &target.join(format!("gen-report-{threads}t.txt")),
-        )?;
-        reports.push((threads, kv));
+/// The table's rows.
+enum Rows {
+    /// One row per run.
+    PerRun,
+    /// One row per tag, read from the first record.
+    Tags(&'static [&'static str]),
+    /// One row per key of the first record ending in this suffix, tagged
+    /// with the rest of the key.
+    Suffix(&'static str),
+}
+
+/// A check over the records of a task's runs: `Some(true)` passes, and
+/// `None` (a key missing) fails like `Some(false)`.
+type Check = Box<dyn Fn(&[Kv]) -> Option<bool>>;
+
+/// A gate: what it requires, and its check.
+struct Gate(String, Check);
+
+/// A gate requiring `message` of the records, checked by `check`.
+fn gate(message: impl Into<String>, check: impl Fn(&[Kv]) -> Option<bool> + 'static) -> Gate {
+    Gate(message.into(), Box::new(check))
+}
+
+/// A check that holds when `check` holds for every record of `runs`.
+fn each(
+    runs: Range<usize>,
+    check: impl Fn(&Kv) -> Option<bool> + 'static,
+) -> impl Fn(&[Kv]) -> Option<bool> {
+    move |r| {
+        r[runs.clone()]
+            .iter()
+            .try_fold(true, |ok, kv| Some(check(kv)? && ok))
+    }
+}
+
+/// A line under the table, computed from the records.
+type Note = Box<dyn Fn(&[Kv]) -> String>;
+
+/// What a report task runs, shows and checks.
+struct Plan {
+    /// Title; each `{key}` is filled from the first record.
+    title: &'static str,
+    runs: Vec<Run>,
+    /// Header of the row-label column, and the rows.
+    rows: (&'static str, Rows),
+    columns: Vec<Column>,
+    notes: Vec<Note>,
+    gates: Vec<Gate>,
+}
+
+impl Plan {
+    /// The messages of the gates `records` fail.
+    fn failures(&self, records: &[Kv]) -> Vec<&str> {
+        let failed = self.gates.iter().filter(|g| g.1(records) != Some(true));
+        failed.map(|g| g.0.as_str()).collect()
     }
 
-    let base = &reports[0].1;
-    let get = |key: &str| base.get(key).map(String::as_str).unwrap_or("-");
-    let mut table = String::new();
-    table.push_str(&format!(
-        "gen-report — design-space sweep: {} committed specs, {} random specs, \
-         {} corpus files\n\n",
-        get("specs_total"),
-        get("random_total"),
-        get("corpus_total"),
-    ));
-    table.push_str(&format!(
-        "{:<18} {:>9} {:>7} {:>18} {:>18}\n",
-        "spec", "words", "banks", "layout digest", "report digest"
-    ));
-    let mut spec_keys: Vec<String> = base
-        .keys()
-        .filter_map(|k| k.strip_suffix("_report_digest").map(str::to_string))
-        .collect();
-    spec_keys.sort();
-    for prefix in &spec_keys {
-        table.push_str(&format!(
-            "{:<18} {:>9} {:>7} {:>18} {:>18}\n",
-            prefix.strip_prefix("spec_").unwrap_or(prefix),
-            get(&format!("{prefix}_words")),
-            get(&format!("{prefix}_banks")),
-            get(&format!("{prefix}_layout_digest")),
-            get(&format!("{prefix}_report_digest")),
-        ));
+    /// The report: title, table, notes, and every gate's verdict.
+    fn render(&self, records: &[Kv]) -> String {
+        let rows: Vec<(String, usize, &str)> = match &self.rows.1 {
+            Rows::PerRun => (self.runs.iter().enumerate())
+                .map(|(i, run)| (run.0.clone(), i, ""))
+                .collect(),
+            Rows::Tags(tags) => tags.iter().map(|&t| (t.to_string(), 0, t)).collect(),
+            Rows::Suffix(suffix) => (records[0].keys().filter_map(|k| k.strip_suffix(suffix)))
+                .map(|t| (t.to_string(), 0, t))
+                .collect(),
+        };
+        let header = std::iter::once(self.rows.0).chain(self.columns.iter().map(|c| c.0));
+        let mut grid = vec![header.map(str::to_string).collect::<Vec<_>>()];
+        for (label, i, tag) in rows {
+            let cells = self.columns.iter().map(|&Column(_, key, show)| {
+                let value = records[i].get(&key.replace('*', tag));
+                value.map_or("-".to_string(), |v| show_value(v, show))
+            });
+            grid.push(std::iter::once(label).chain(cells).collect());
+        }
+        let mut out = format!("{}\n\n{}\n", fill(self.title, &records[0]), table(&grid));
+        for note in &self.notes {
+            out += &format!("{}\n", note(records));
+        }
+        out += "\n";
+        let failed = self.failures(records);
+        for Gate(message, _) in &self.gates {
+            let pass = !failed.contains(&message.as_str());
+            out += &format!("{}  {message}\n", if pass { "pass" } else { "FAIL" });
+        }
+        out
     }
-    table.push_str(&format!(
-        "\npaper fixture layout match: {}\ncorpus: {} of {} rejected\nfailures: {}\n",
-        get("paper_fixture_match"),
-        get("corpus_rejected"),
-        get("corpus_total"),
-        get("failures"),
-    ));
+}
 
-    // Digest stability across worker counts.
-    let digest_keys: Vec<&String> = base.keys().filter(|k| k.ends_with("_digest")).collect();
-    let mut diverged: Vec<&str> = Vec::new();
-    for (_, kv) in &reports[1..] {
-        for key in &digest_keys {
-            if kv.get(*key) != base.get(*key) {
-                diverged.push(key);
-            }
+/// Lays `rows` out as aligned columns: the first left-aligned, the rest
+/// right-aligned.
+fn table(rows: &[Vec<String>]) -> String {
+    let mut out = String::new();
+    for row in rows {
+        for (c, cell) in row.iter().enumerate() {
+            let w = rows.iter().map(|r| r[c].chars().count()).max().unwrap_or(0);
+            out += &match c {
+                0 => format!("{cell:<w$}"),
+                _ => format!("  {cell:>w$}"),
+            };
         }
+        out += "\n";
     }
-    table.push_str(&format!(
-        "digests across {GEN_THREADS:?} worker threads: {}\n",
-        if diverged.is_empty() {
-            "IDENTICAL"
-        } else {
-            "DIVERGED"
-        },
-    ));
+    out
+}
 
-    emit_table(&table, &out_path, "gen")?;
+/// Shows `value` as `show` says, or `-` when a number does not parse.
+fn show_value(value: &str, show: Show) -> String {
+    match (show, value.parse::<f64>()) {
+        (Show::Raw, _) => value.to_string(),
+        (Show::Ns, Ok(x)) => format_ns(x),
+        (Show::Num(scale, digits, unit), Ok(x)) => format!("{:.digits$}{unit}", x * scale),
+        _ => "-".to_string(),
+    }
+}
 
-    if gate {
-        let mut failed = false;
-        if !diverged.is_empty() {
-            eprintln!(
-                "GATE FAILED: {} digest(s) differ across worker counts (e.g. {}) — \
-                 sweep observables depend on scheduling",
-                diverged.len(),
-                diverged[0]
-            );
-            failed = true;
-        }
-        for (threads, kv) in &reports {
-            // `random_ok` is a count (gated below); every other `*_ok` is
-            // a per-spec boolean.
-            for key in kv
-                .keys()
-                .filter(|k| k.ends_with("_ok") && k.as_str() != "random_ok")
-            {
-                if kv.get(key).map(String::as_str) != Some("true") {
-                    eprintln!("GATE FAILED: {key} is not true at {threads} threads");
-                    failed = true;
-                }
-            }
-            if kv.get("paper_fixture_match").map(String::as_str) != Some("true") {
-                eprintln!(
-                    "GATE FAILED: generated digits layout no longer matches the paper's \
-                     hand-wired fixture ({threads} threads)"
-                );
-                failed = true;
-            }
-            if kv.get("corpus_total").is_none()
-                || kv.get("corpus_rejected") != kv.get("corpus_total")
-            {
-                eprintln!(
-                    "GATE FAILED: malformed corpus not fully rejected at {threads} threads \
-                     ({} of {})",
-                    kv.get("corpus_rejected").map(String::as_str).unwrap_or("-"),
-                    kv.get("corpus_total").map(String::as_str).unwrap_or("-"),
-                );
-                failed = true;
-            }
-            let random_ok = kv.get("random_ok").and_then(|v| v.parse::<usize>().ok());
-            if random_ok != kv.get("random_total").and_then(|v| v.parse().ok())
-                || random_ok.unwrap_or(0) < GEN_RANDOM_SPECS.min(random)
-            {
-                eprintln!(
-                    "GATE FAILED: only {} of {} random specs swept cleanly at {threads} threads",
-                    kv.get("random_ok").map(String::as_str).unwrap_or("-"),
-                    kv.get("random_total").map(String::as_str).unwrap_or("-"),
-                );
-                failed = true;
-            }
-            if kv.get("failures").map(String::as_str) != Some("0") {
-                eprintln!(
-                    "GATE FAILED: gen_report counted {} failure(s) at {threads} threads",
-                    kv.get("failures").map(String::as_str).unwrap_or("-")
-                );
-                failed = true;
-            }
-        }
-        if failed {
-            return Ok(ExitCode::FAILURE);
-        }
-        println!(
-            "design-space gate passed: every spec built and characterized, digests \
-             identical across worker counts, paper fixture matched, corpus fully rejected"
+/// Executes `plan`'s runs, writes the report to stdout and `--out`, and
+/// fails when a run exits unsuccessfully or, with `--gate`, when any gate
+/// does.
+fn run_report(name: &str, plan: &Plan, opts: &Opts) -> TaskResult {
+    std::fs::create_dir_all("target").map_err(|e| format!("could not create target/: {e}"))?;
+    let runs = plan
+        .runs
+        .iter()
+        .map(execute)
+        .collect::<Result<Vec<_>, _>>()?;
+    let (records, statuses): (Vec<Kv>, Vec<ExitStatus>) = runs.into_iter().unzip();
+    let report = plan.render(&records);
+    print!("{report}");
+    let out = opts.out.clone().unwrap_or(format!("target/{name}.txt"));
+    std::fs::write(&out, &report).map_err(|e| format!("could not write {out}: {e}"))?;
+    eprintln!("{name} written to {out}");
+    // The report above shows what a failed run's record held.
+    if let Some((Run(_, args, _), status)) =
+        plan.runs.iter().zip(&statuses).find(|r| !r.1.success())
+    {
+        return Err(format!("{args} failed: {status}"));
+    }
+    let failed = plan.failures(&records);
+    if !opts.gate {
+        return Ok(ExitCode::SUCCESS);
+    } else if failed.is_empty() {
+        println!("{name} gate passed: all {} gates hold", plan.gates.len());
+        return Ok(ExitCode::SUCCESS);
+    }
+    for message in &failed {
+        eprintln!("GATE FAILED: {message}");
+    }
+    Ok(ExitCode::FAILURE)
+}
+
+/// Runs the release build of `run`'s binary, archives its stdout under
+/// `target/`, and parses it.
+fn execute(Run(_, args, archive): &Run) -> Result<(Kv, ExitStatus), String> {
+    let predictions = args
+        .split_whitespace()
+        .skip_while(|&a| a != "--predictions")
+        .nth(1);
+    if let Some(path) = predictions {
+        let _ = std::fs::remove_file(path);
+    }
+    eprintln!("running cargo run --release -q {args}...");
+    let output = Command::new(env!("CARGO"))
+        .args(["run", "--release", "-q"])
+        .args(args.split_whitespace())
+        .stderr(Stdio::inherit())
+        .output()
+        .map_err(|e| format!("could not launch {args}: {e}"))?;
+    let archive = format!("target/{archive}");
+    std::fs::write(&archive, &output.stdout)
+        .map_err(|e| format!("could not write {archive}: {e}"))?;
+    let mut kv = parse(&String::from_utf8_lossy(&output.stdout));
+    if let Some(path) = predictions.filter(|_| output.status.success()) {
+        let bytes = std::fs::read(path).map_err(|e| format!("no predictions at {path}: {e}"))?;
+        let digest = fnv1a(FNV_OFFSET, &bytes);
+        kv.insert("predictions_file".into(), format!("{digest:016x}"));
+    }
+    Ok((kv, output.status))
+}
+
+/// `template` with each `{key}` replaced by `kv`'s value (`?` if absent).
+fn fill(template: &str, kv: &Kv) -> String {
+    let (mut out, mut rest) = (String::new(), template);
+    while let Some((head, tail)) = rest.split_once('{') {
+        let (key, tail) = tail.split_once('}').unwrap_or((tail, ""));
+        out += head;
+        out += kv.get(key).map_or("?", String::as_str);
+        rest = tail;
+    }
+    out + rest
+}
+
+/// A note: `template` filled from record `run`.
+fn note(run: usize, template: &'static str) -> Note {
+    Box::new(move |records| fill(template, &records[run]))
+}
+
+/// `key`'s value in `kv` as a number.
+fn num(kv: &Kv, key: &str) -> Option<f64> {
+    kv.get(key)?.parse().ok()
+}
+
+/// Whether `key`'s value in `kv` is `want`.
+fn is(kv: &Kv, key: &str, want: &str) -> Option<bool> {
+    Some(kv.get(key)? == want)
+}
+
+/// The one "same across runs" check: whether every record holds each of
+/// `keys` with one value. `None` when any key is absent from any record,
+/// or when there is no key to compare.
+fn same<K: AsRef<str>>(records: &[Kv], keys: &[K]) -> Option<bool> {
+    keys.first()?;
+    keys.iter().try_fold(true, |ok, key| {
+        let values = records.iter().map(|kv| kv.get(key.as_ref()));
+        let values: Vec<&String> = values.collect::<Option<_>>()?;
+        Some(ok && values.windows(2).all(|w| w[0] == w[1]))
+    })
+}
+
+/// Every key ending in `suffix` that any record holds.
+fn union_of(records: &[Kv], suffix: &str) -> Vec<String> {
+    let keys = records
+        .iter()
+        .flat_map(Kv::keys)
+        .filter(|k| k.ends_with(suffix));
+    keys.cloned().collect::<BTreeSet<_>>().into_iter().collect()
+}
+
+/// `numerator / denominator` of two readings, when positive and finite.
+fn ratio(numerator: Option<f64>, denominator: Option<f64>) -> Option<f64> {
+    Some(numerator? / denominator?).filter(|r| r.is_finite() && *r > 0.0)
+}
+
+/// The speedup note and gates: `what` is at most
+/// [`SERVE_SLOWDOWN_FACTOR`]× slower than its baseline, and with
+/// `--min-speedup` at least that much faster.
+fn scaling(
+    what: &'static str,
+    speedup: fn(&[Kv]) -> Option<f64>,
+    floor: Option<f64>,
+) -> (Note, Vec<Gate>) {
+    let note: Note = Box::new(move |r| match speedup(r) {
+        Some(x) => format!("{what} speedup: {x:.2}x"),
+        None => format!("{what} speedup: -"),
+    });
+    let slowdown = format!("{what} at most {SERVE_SLOWDOWN_FACTOR}x slower than the baseline");
+    let mut gates = vec![gate(slowdown, move |r| {
+        Some(speedup(r)? >= 1.0 / SERVE_SLOWDOWN_FACTOR)
+    })];
+    if let Some(floor) = floor {
+        let message = format!("{what} speedup at least {floor}x (--min-speedup)");
+        gates.push(gate(message, move |r| Some(speedup(r)? >= floor)));
+    }
+    (note, gates)
+}
+
+fn serve_plan(o: &Opts) -> Plan {
+    let requests = o.requests.unwrap_or(512);
+    let runs = ["1", "4"].map(|w| {
+        let preds = format!("--predictions target/serve-preds-{w}w.txt");
+        let args = format!(
+            "-p sram_serve --bin serve_bench -- --requests {requests} --threads {w} {preds}"
         );
+        Run(w.into(), args, format!("serve-{w}w.txt"))
+    });
+    let wall = |r: &[Kv]| ratio(num(&r[0], "wall_ns"), num(&r[1], "wall_ns"));
+    let (speedup, scaling_gates) = scaling("4-worker", wall, o.min_speedup);
+    let mut gates = vec![
+        gate("served predictions identical at 1 and 4 workers", |r| {
+            same(r, &["digest", "predictions_file"])
+        }),
+        gate(
+            "every run reports a positive words_per_sec",
+            each(0..2, |kv| Some(num(kv, "words_per_sec")? > 0.0)),
+        ),
+    ];
+    gates.extend(scaling_gates);
+    Plan {
+        title: "serve-report — {requests} requests through the hybrid 8T-6T serving layer, \
+                {mac_kernel} MAC",
+        runs: runs.into(),
+        rows: ("workers", Rows::PerRun),
+        columns: vec![
+            Column("throughput", "throughput_rps", Show::Num(1.0, 1, " r/s")),
+            Column("read bw", "words_per_sec", Show::Num(1e-6, 1, " Mw/s")),
+            Column("p50", "p50_ns", Show::Ns),
+            Column("p99", "p99_ns", Show::Ns),
+            Column("queue p99", "queue_p99_ns", Show::Ns),
+            Column("svc p99", "service_p99_ns", Show::Ns),
+            Column(
+                "energy/inf",
+                "energy_per_inference_j",
+                Show::Num(1e9, 3, " nJ"),
+            ),
+            Column("standby", "standby_leakage_w", Show::Num(1e6, 3, " µW")),
+            Column("BER", "observed_ber", Show::Raw),
+            Column("wall", "wall_ns", Show::Ns),
+            Column("digest", "digest", Show::Raw),
+        ],
+        notes: vec![speedup],
+        gates,
     }
-    Ok(ExitCode::SUCCESS)
+}
+
+fn scale_plan(o: &Opts) -> Plan {
+    let load = |r: &[Kv]| {
+        let [first, .., last] = SCALE_SHARDS;
+        let load_ns = |shards| num(&r[0], &format!("load_ns_{shards}"));
+        ratio(load_ns(first), load_ns(last))
+    };
+    let (speedup, scaling_gates) = scaling("4-shard load", load, o.min_speedup);
+    let identical = format!("images identical at {} shards", SCALE_SHARDS.join("/"));
+    let mut gates = vec![gate(
+        identical,
+        each(0..1, |kv| {
+            let digests = SCALE_SHARDS.map(|s| kv.get(&format!("digest_{s}")));
+            let digests: Vec<&String> = digests.into_iter().collect::<Option<_>>()?;
+            Some(digests.windows(2).all(|w| w[0] == w[1]))
+        }),
+    )];
+    gates.extend(scaling_gates);
+    let args = format!(
+        "-p sram_serve --bin scale_bench -- --shards {}",
+        SCALE_SHARDS.join(",")
+    );
+    Plan {
+        title: "scale-report — {words} synaptic words through the sharded store \
+                ({threads} threads)",
+        runs: vec![Run("scale".into(), args, "scale-bench.txt".into())],
+        rows: ("shards", Rows::Tags(&SCALE_SHARDS)),
+        columns: vec![
+            Column("load", "load_ns_*", Show::Ns),
+            Column("bulk read", "bulk_ns_*", Show::Ns),
+            Column("snapshot", "snapshot_ns_*", Show::Ns),
+            Column("digest", "digest_*", Show::Raw),
+        ],
+        notes: vec![speedup],
+        gates,
+    }
+}
+
+fn chaos_plan(o: &Opts) -> Plan {
+    let requests = o.requests.unwrap_or(512);
+    let runs = ["1", "4"].map(|w| {
+        let args = format!(
+            "-p sram_serve --bin serve_bench -- --chaos --requests {requests} --threads {w}"
+        );
+        Run(w.into(), args, format!("chaos-{w}w.txt"))
+    });
+    let acc = |kv: &Kv, scenario: &str| num(kv, &format!("{scenario}_accuracy"));
+    let drop = CHAOS_ACCURACY_DROP;
+    Plan {
+        title: "chaos-report — {requests} requests, one shard degraded mid-load \
+                over {waves} waves",
+        runs: runs.into(),
+        rows: ("scenario", Rows::Tags(&["healthy", "protected", "unprotected"])),
+        columns: vec![
+            Column("accuracy", "*_accuracy", Show::Num(1.0, 3, "")),
+            Column("p99", "*_p99_ns", Show::Ns),
+            Column("digest", "*_digest", Show::Raw),
+        ],
+        notes: vec![note(
+            0,
+            "bist: {bist_weak_words} weak words / {bist_weak_bits} weak bits (digest {bist_digest})\n\
+             scrub: {scrub_sweeps} sweeps, {corrected_words} corrected words / {corrected_bits} \
+             bits, {uncorrectable_words} uncorrectable\n\
+             repair: {rows_repaired} rows remapped, {spare_rows_free} spares free; \
+             governor boosts {governor_boosts}",
+        )],
+        gates: vec![
+            gate("resilience decisions identical at 1 and 4 workers", |r| {
+                same(r, CHAOS_INVARIANT_KEYS)
+            }),
+            gate(
+                format!("protected accuracy within {drop} of healthy"),
+                each(0..1, move |kv| Some(acc(kv, "protected")? >= acc(kv, "healthy")? - drop)),
+            ),
+            gate(
+                format!("unprotected accuracy more than {drop} below healthy"),
+                each(0..1, move |kv| Some(acc(kv, "unprotected")? < acc(kv, "healthy")? - drop)),
+            ),
+            gate(
+                format!("protected p99 at most {CHAOS_P99_FACTOR}x healthy p99"),
+                each(0..1, |kv| {
+                    let healthy = num(kv, "healthy_p99_ns")?;
+                    let protected = num(kv, "protected_p99_ns")?;
+                    Some(healthy > 0.0 && protected <= healthy * CHAOS_P99_FACTOR)
+                }),
+            ),
+        ],
+    }
+}
+
+fn net_plan(o: &Opts) -> Plan {
+    let requests = o.requests.unwrap_or(256);
+    let low = format!("--rate {}", o.rate.unwrap_or(600.0));
+    let burst = "--rate 0 --global-inflight 64 --soft-inflight 32";
+    // Two sub-saturation runs at different connection counts (the
+    // determinism probe), then a burst with tight in-flight caps (the
+    // overload probe).
+    let runs = [
+        ("low", "2", low.as_str()),
+        ("low", "8", &low),
+        ("burst", "4", burst),
+    ]
+    .map(|(load, connections, flags)| {
+        let args = format!(
+            "-p sram_net --bin net_bench -- --tenants 2 --requests {requests} \
+                 --connections {connections} {flags}"
+        );
+        let label = format!("{load}/{connections}conn");
+        Run(label, args, format!("net-{load}-{connections}conn.txt"))
+    });
+    let slo_ms = o.slo_ms.unwrap_or(NET_SLO_MS);
+    Plan {
+        title: "net-report — {requests} open-loop requests over real sockets, \
+                {tenants} resident tenants, {mac_kernel} MAC",
+        runs: runs.into(),
+        rows: ("run", Rows::PerRun),
+        columns: vec![
+            Column("sent", "sent", Show::Raw),
+            Column("ok", "ok", Show::Raw),
+            Column("shed", "shed", Show::Raw),
+            Column("err", "errors", Show::Raw),
+            Column("sojourn p50", "sojourn_p50_ns", Show::Ns),
+            Column("sojourn p99", "sojourn_p99_ns", Show::Ns),
+            Column("service p99", "service_p99_ns", Show::Ns),
+            Column("residual p50", "residual_p50_ns", Show::Ns),
+            Column("digest", "digest", Show::Raw),
+        ],
+        notes: vec![note(
+            2,
+            "burst probe: {shed} shed of {sent} sent ({degrade_events} degrade events, \
+             {drowsy_served} served drowsy)",
+        )],
+        gates: vec![
+            gate("response digests identical at 2 and 8 connections", |r| {
+                same(&r[..2], &["digest"])
+            }),
+            gate(
+                "low-rate runs shed nothing",
+                each(0..2, |kv| Some(num(kv, "shed")? == 0.0)),
+            ),
+            gate(
+                "low-rate runs have no errors",
+                each(0..2, |kv| Some(num(kv, "errors")? == 0.0)),
+            ),
+            gate(
+                "low-rate runs drain in time",
+                each(0..2, |kv| is(kv, "timed_out", "false")),
+            ),
+            gate(
+                "low-rate client and server digests agree (nothing lost or fabricated)",
+                each(0..2, |kv| {
+                    Some(kv.get("digest")? == kv.get("server_digest")?)
+                }),
+            ),
+            gate(
+                format!("low-rate sojourn p99 within the {slo_ms} ms SLO"),
+                each(0..2, move |kv| {
+                    let p99 = num(kv, "sojourn_p99_ns")?;
+                    Some(p99 > 0.0 && p99 <= slo_ms * 1e6)
+                }),
+            ),
+            gate(
+                "burst run sheds",
+                each(2..3, |kv| Some(num(kv, "shed")? > 0.0)),
+            ),
+            gate(
+                "burst run has no errors",
+                each(2..3, |kv| Some(num(kv, "errors")? == 0.0)),
+            ),
+        ],
+    }
+}
+
+fn gen_plan(o: &Opts) -> Plan {
+    let random = o.random.unwrap_or(GEN_RANDOM_SPECS);
+    let runs = ["1", "4"].map(|t| {
+        let args = format!(
+            "-p sram_gen --bin gen_report -- --specs-dir crates/gen/specs \
+             --corpus-dir crates/gen/corpus --random {random} --threads {t}"
+        );
+        Run(t.into(), args, format!("gen-report-{t}t.txt"))
+    });
+    let floor = GEN_RANDOM_SPECS.min(random) as f64;
+    Plan {
+        title: "gen-report — design-space sweep: {specs_total} committed specs, \
+                {random_total} random specs, {corpus_total} corpus files",
+        runs: runs.into(),
+        rows: ("spec", Rows::Suffix("_report_digest")),
+        columns: vec![
+            Column("words", "*_words", Show::Raw),
+            Column("banks", "*_banks", Show::Raw),
+            Column("layout digest", "*_layout_digest", Show::Raw),
+            Column("report digest", "*_report_digest", Show::Raw),
+        ],
+        notes: vec![note(
+            0,
+            "paper fixture layout match: {paper_fixture_match}\n\
+             corpus: {corpus_rejected} of {corpus_total} rejected\nfailures: {failures}",
+        )],
+        gates: vec![
+            gate("every digest identical at 1 and 4 worker threads", |r| {
+                same(r, &union_of(r, "_digest"))
+            }),
+            gate(
+                "every spec builds, characterizes and smokes",
+                each(0..2, |kv| {
+                    // `random_ok` is a count, gated below.
+                    let oks = kv
+                        .iter()
+                        .filter(|(k, _)| k.ends_with("_ok") && *k != "random_ok");
+                    let oks: Vec<bool> = oks.map(|(_, v)| v == "true").collect();
+                    Some(*oks.first()? && oks.iter().all(|&ok| ok))
+                }),
+            ),
+            gate(
+                "generated digits layout matches the paper's hand-wired fixture",
+                each(0..2, |kv| is(kv, "paper_fixture_match", "true")),
+            ),
+            gate(
+                "malformed corpus fully rejected",
+                each(0..2, |kv| {
+                    Some(kv.get("corpus_rejected")? == kv.get("corpus_total")?)
+                }),
+            ),
+            gate(
+                format!("every random spec sweeps cleanly, at least {floor}"),
+                each(0..2, move |kv| {
+                    let ok = num(kv, "random_ok")?;
+                    Some(ok == num(kv, "random_total")? && ok >= floor)
+                }),
+            ),
+            gate(
+                "zero failures counted",
+                each(0..2, |kv| is(kv, "failures", "0")),
+            ),
+        ],
+    }
 }
