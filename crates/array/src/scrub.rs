@@ -4,14 +4,24 @@
 //! bits of the (13, 8) SECDED weight code
 //! ([`SecdedCode::for_weights`](sram_ecc::hamming::SecdedCode::for_weights)),
 //! compacted to one byte. Between serving batches the scrubber sweeps the
-//! whole address space: each word is read through the sensing path
-//! (spare rows and stuck masks included, transient faults excluded — a
-//! maintenance port read), recombined with its check bits into the full
-//! 13-bit codeword, and decoded. Single-bit upsets are corrected in place
-//! through the ordinary faulty write path; words the write path cannot
-//! hold (persistent write faults, stuck cells) come back *stubborn* and
-//! their rows are flagged for spare-row repair, as are rows holding
-//! uncorrectable (≥ 2-flip) words.
+//! whole address space through the maintenance port: the observed image
+//! (spare rows and stuck masks included, transient faults excluded) is
+//! read in chunks of 4096 words — one copy per shard segment,
+//! overlays applied once per chunk, no read counter bumped — and every
+//! word is decoded with one lookup, `table[(observed << 5) | checks]`, in
+//! an 8192-entry `(verdict, corrected byte)` table built once from
+//! [`SecdedCode::decode`] itself, so it agrees with the decoder by
+//! construction. Only corrected and uncorrectable words leave the lookup
+//! loop. Single-bit upsets are corrected in place through the ordinary
+//! faulty write path; words the write path cannot hold (persistent write
+//! faults, stuck cells) come back *stubborn* and their rows are flagged
+//! for spare-row repair, as are rows holding uncorrectable (≥ 2-flip)
+//! words. Check bytes (at [`EccSidecar::protect`] and on every refresh)
+//! come from a 256-entry table built from [`SecdedCode::encode`] and
+//! [`SecdedCode::compact_checks`]. The word-at-a-time sweep (one
+//! `read_raw` and one bitwise decode per word) is kept as the reference
+//! in `tests/oracle/scrub.rs`; the `scrub_oracle` property tests pin the
+//! two sweeps equal.
 //!
 //! The sidecar is built from the **post-load observed image** — the
 //! reference the serving accuracy baseline is measured against — so a
@@ -30,6 +40,90 @@ use crate::sharded::ShardedMemory;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sram_ecc::hamming::{Decoded, SecdedCode};
+use std::sync::OnceLock;
+
+/// Words per maintenance-port read of a sweep: enough to amortize the
+/// shard lookup and the overlay walk, few enough to stay cache-resident.
+const SWEEP_CHUNK: usize = 4096;
+
+/// Live bits of a compact check byte of the (13, 8) weight code.
+const CHECK_BITS: u32 = 5;
+
+/// Entries of the decode table: every byte against every check pattern.
+const DECODE_ENTRIES: usize = 256 << CHECK_BITS;
+
+fn weight_code() -> SecdedCode {
+    SecdedCode::for_weights().expect("(13,8) weight code is always constructible")
+}
+
+/// What decoding one stored word concluded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    Clean,
+    Corrected,
+    Uncorrectable,
+}
+
+/// One decode-table entry: the verdict and the decoded byte (the raw data
+/// bits for an uncorrectable word).
+#[derive(Debug, Clone, Copy)]
+struct DecodeEntry {
+    verdict: Verdict,
+    data: u8,
+}
+
+/// The weight code's decoder over every `(observed byte, compact checks)`
+/// pair, indexed `(observed << 5) | checks`.
+fn decode_table() -> &'static [DecodeEntry; DECODE_ENTRIES] {
+    static TABLE: OnceLock<Box<[DecodeEntry; DECODE_ENTRIES]>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let code = weight_code();
+        assert_eq!(code.check_bits(), CHECK_BITS);
+        let entries: Box<[DecodeEntry]> = (0..DECODE_ENTRIES as u64)
+            .map(|index| {
+                let received = code
+                    .place_data(index >> CHECK_BITS)
+                    .expect("byte payload is in range")
+                    | code
+                        .expand_checks(index & ((1 << CHECK_BITS) - 1))
+                        .expect("compact checks are in range");
+                let decoded = code.decode(received).expect("codeword is in range");
+                let verdict = match decoded {
+                    Decoded::Clean { .. } => Verdict::Clean,
+                    Decoded::Corrected { .. } => Verdict::Corrected,
+                    Decoded::Uncorrectable { .. } => Verdict::Uncorrectable,
+                };
+                DecodeEntry {
+                    verdict,
+                    data: decoded.data() as u8,
+                }
+            })
+            .collect();
+        entries.try_into().expect("one entry per index")
+    })
+}
+
+/// Decodes one stored word against its compact check byte.
+///
+/// # Panics
+///
+/// Panics if `checks` has bits set above the live check bits.
+fn decode_word(table: &[DecodeEntry; DECODE_ENTRIES], observed: u8, checks: u8) -> DecodeEntry {
+    assert!(checks >> CHECK_BITS == 0, "compact checks are in range");
+    table[usize::from(observed) << CHECK_BITS | usize::from(checks)]
+}
+
+/// The compact check byte of every byte's codeword, indexed by the byte.
+fn check_table() -> &'static [u8; 256] {
+    static TABLE: OnceLock<[u8; 256]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let code = weight_code();
+        std::array::from_fn(|data| {
+            let word = code.encode(data as u64).expect("byte payload is in range");
+            code.compact_checks(word).expect("own codeword is in range") as u8
+        })
+    })
+}
 
 /// The compacted SECDED check bits protecting every word of a store.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,20 +135,26 @@ pub struct EccSidecar {
 
 impl EccSidecar {
     /// Builds the sidecar over the current observed image of `memory` —
-    /// one encode per word, check bits compacted to a byte. Call after
-    /// loading (and after any boot-time repair): the image protected is
-    /// the image served.
+    /// one check-table lookup per word, read in sweep-sized chunks through
+    /// the maintenance port. Call after loading (and after any boot-time
+    /// repair): the image protected is the image served.
     pub fn protect(memory: &ShardedMemory) -> Self {
-        let code = SecdedCode::for_weights().expect("(13,8) weight code is always constructible");
-        let checks = (0..memory.len())
-            .map(|i| {
-                let word = code
-                    .encode(u64::from(memory.read_raw(i)))
-                    .expect("byte payload is in range");
-                code.compact_checks(word).expect("own codeword is in range") as u8
-            })
-            .collect();
-        Self { code, checks }
+        let table = check_table();
+        let mut checks = Vec::with_capacity(memory.len());
+        let mut observed = Vec::with_capacity(SWEEP_CHUNK.min(memory.len()));
+        for start in (0..memory.len()).step_by(SWEEP_CHUNK) {
+            memory.observe_range(start, SWEEP_CHUNK.min(memory.len() - start), &mut observed);
+            checks.extend(observed.iter().map(|&byte| table[usize::from(byte)]));
+        }
+        Self {
+            code: weight_code(),
+            checks,
+        }
+    }
+
+    /// The compact check byte of every protected word, in address order.
+    pub fn checks(&self) -> &[u8] {
+        &self.checks
     }
 
     /// The protecting code.
@@ -160,6 +260,12 @@ impl ScrubOutcome {
 /// bench/estimation mode). Rows that cannot be healed in place are
 /// returned in [`ScrubOutcome::flagged_rows`] for the repair stage.
 ///
+/// The store is read in 4096-word chunks through the
+/// maintenance port (no read counter moves) and each word is decoded by
+/// one table lookup; a write-back touches only its own word, so reading a
+/// chunk ahead of its corrections observes exactly what a word-at-a-time
+/// sweep would.
+///
 /// # Panics
 ///
 /// Panics if `sidecar` does not cover `memory` exactly.
@@ -169,7 +275,7 @@ pub fn scrub_pass(memory: &mut ShardedMemory, sidecar: &mut EccSidecar, fix: boo
         memory.len(),
         "sidecar must cover the store exactly"
     );
-    let code = sidecar.code;
+    let (decode, encode) = (decode_table(), check_table());
     let mut out = ScrubOutcome {
         words_scanned: memory.len(),
         per_shard_corrected_bits: vec![0u64; memory.shard_count()],
@@ -180,45 +286,39 @@ pub fn scrub_pass(memory: &mut ShardedMemory, sidecar: &mut EccSidecar, fix: boo
             out.flagged_rows.push(row_start);
         }
     };
-    for index in 0..memory.len() {
-        let observed = memory.read_raw(index);
-        let received = code
-            .place_data(u64::from(observed))
-            .expect("byte payload is in range")
-            | code
-                .expand_checks(u64::from(sidecar.checks[index]))
-                .expect("compact checks are in range");
-        match code.decode(received).expect("codeword is in range") {
-            Decoded::Clean { .. } => out.clean_words += 1,
-            Decoded::Corrected { data, .. } => {
-                out.corrected_words += 1;
-                out.corrected_bits += 1;
-                out.per_shard_corrected_bits[memory.shard_of(index)] += 1;
-                if !fix {
-                    continue;
-                }
-                let data = data as u8;
-                if data != observed {
-                    memory.write(index, data);
-                    out.rewrites += 1;
-                    if memory.read_raw(index) != data {
-                        out.stubborn_words += 1;
-                        flag_row(&mut out, memory.row_span(index).0);
+    let mut observed = Vec::with_capacity(SWEEP_CHUNK.min(memory.len()));
+    for start in (0..memory.len()).step_by(SWEEP_CHUNK) {
+        memory.observe_range(start, SWEEP_CHUNK.min(memory.len() - start), &mut observed);
+        for (index, &byte) in (start..).zip(&observed) {
+            let entry = decode_word(decode, byte, sidecar.checks[index]);
+            match entry.verdict {
+                Verdict::Clean => {}
+                Verdict::Corrected => {
+                    out.corrected_words += 1;
+                    out.corrected_bits += 1;
+                    out.per_shard_corrected_bits[memory.shard_of(index)] += 1;
+                    if !fix {
+                        continue;
                     }
+                    let data = entry.data;
+                    if data != byte {
+                        memory.write(index, data);
+                        out.rewrites += 1;
+                        if memory.read_raw(index) != data {
+                            out.stubborn_words += 1;
+                            flag_row(&mut out, memory.row_span(index).0);
+                        }
+                    }
+                    sidecar.checks[index] = encode[usize::from(data)];
                 }
-                let expect = code
-                    .compact_checks(code.encode(u64::from(data)).expect("byte payload"))
-                    .expect("own codeword") as u8;
-                if sidecar.checks[index] != expect {
-                    sidecar.checks[index] = expect;
+                Verdict::Uncorrectable => {
+                    out.uncorrectable_words += 1;
+                    flag_row(&mut out, memory.row_span(index).0);
                 }
-            }
-            Decoded::Uncorrectable { .. } => {
-                out.uncorrectable_words += 1;
-                flag_row(&mut out, memory.row_span(index).0);
             }
         }
     }
+    out.clean_words = out.words_scanned - out.corrected_words - out.uncorrectable_words;
     out
 }
 
@@ -356,6 +456,50 @@ mod tests {
             );
             assert_eq!(img, image, "{shards}-shard healed image");
         }
+    }
+
+    #[test]
+    fn code_tables_match_the_decoder_on_every_input() {
+        let code = weight_code();
+        let table = decode_table();
+        let mut tally = [0usize; 3];
+        for observed in 0..=255u8 {
+            for checks in 0..1u8 << CHECK_BITS {
+                let received = code.place_data(u64::from(observed)).unwrap()
+                    | code.expand_checks(u64::from(checks)).unwrap();
+                let want = match code.decode(received).unwrap() {
+                    Decoded::Clean { data } => (Verdict::Clean, data),
+                    Decoded::Corrected { data, .. } => (Verdict::Corrected, data),
+                    Decoded::Uncorrectable { raw_data } => (Verdict::Uncorrectable, raw_data),
+                };
+                let entry = decode_word(table, observed, checks);
+                assert_eq!(
+                    (entry.verdict, u64::from(entry.data)),
+                    want,
+                    "observed {observed:#04x}, checks {checks:#04x}"
+                );
+                tally[entry.verdict as usize] += 1;
+            }
+        }
+        // Distance 4: each codeword and its 13 single-flip neighbours are
+        // recoverable, every other received word is a detected error.
+        assert_eq!(tally, [256, 256 * 13, 8192 - 256 * 14]);
+        for data in 0..=255u8 {
+            let word = code.encode(u64::from(data)).unwrap();
+            let expect = code.compact_checks(word).unwrap();
+            assert_eq!(u64::from(check_table()[usize::from(data)]), expect);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "compact checks are in range")]
+    fn check_bytes_beyond_the_live_bits_panic() {
+        let mut m = loaded_memory(0.0, 2);
+        let mut sidecar = EccSidecar::protect(&m);
+        // 0xFF would still index inside the table (observed << 5 | 0xFF
+        // tops out at 8191), so only the range check can catch it.
+        sidecar.checks[7] = 0xFF;
+        scrub_pass(&mut m, &mut sidecar, false);
     }
 
     #[test]

@@ -524,6 +524,28 @@ impl ShardedMemory {
         }
     }
 
+    /// Fills `out` with the observed bytes of `start..start + len`: one
+    /// copy per shard segment, then stuck masks and spare rows applied
+    /// once over the whole span. A maintenance-port read — no transient
+    /// faults and no read counter; callers that bill reads charge them
+    /// themselves.
+    pub(crate) fn observe_range(&self, start: usize, len: usize, out: &mut Vec<u8>) {
+        debug_assert!(start + len <= self.len());
+        out.clear();
+        let mut pos = 0usize;
+        while pos < len {
+            let idx = start + pos;
+            let s = &self.shards[self.shard_of(idx)];
+            let local = idx - s.start;
+            let seg = (s.words.len() - local).min(len - pos);
+            out.extend_from_slice(&s.words[local..local + seg]);
+            pos += seg;
+        }
+        if !self.overlays.is_empty() {
+            self.apply_overlays(start, out);
+        }
+    }
+
     /// Writes one word; write failures may corrupt stored bits
     /// persistently, keyed by the word's logical address, so rewriting a
     /// word replays the same weak-cell pattern. Writes to a repaired row
@@ -669,7 +691,6 @@ impl ShardedMemory {
             start.checked_add(len).is_some_and(|end| end <= self.len()),
             "row read out of range"
         );
-        words.clear();
         masks.clear();
         masks.resize(len, 0);
         // Mask pass: bank segments, caller's RNG in address order.
@@ -685,19 +706,8 @@ impl ShardedMemory {
             pos += seg;
         }
         // Value pass: shard segments, one counter bump per segment.
-        let mut pos = 0usize;
-        while pos < len {
-            let idx = start + pos;
-            let s = &self.shards[self.shard_of(idx)];
-            let local = idx - s.start;
-            let seg = (s.words.len() - local).min(len - pos);
-            words.extend_from_slice(&s.words[local..local + seg]);
-            s.reads.fetch_add(seg as u64, Ordering::Relaxed);
-            pos += seg;
-        }
-        if !self.overlays.is_empty() {
-            self.apply_overlays(start, words);
-        }
+        self.observe_range(start, len, words);
+        self.charge_reads(start, len, 1);
         if fault_bits > 0 {
             for (w, &m) in words.iter_mut().zip(masks.iter()) {
                 *w ^= m;
@@ -745,7 +755,7 @@ impl ShardedMemory {
     /// Reads one word without transient fault injection — what a perfect
     /// sense amplifier would observe: spare contents for repaired rows and
     /// stuck masks applied, raw storage otherwise (debug, verification,
-    /// and scrubber path).
+    /// and the scrubber's write-back check).
     ///
     /// # Panics
     ///
@@ -865,12 +875,7 @@ impl ShardedMemory {
     /// the `(seed, bank)` stream and statistics merge in bank order.
     pub fn corrupt_snapshot(&self, seed: u64) -> (Vec<u8>, InjectionStats) {
         let mut image = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            image.extend_from_slice(&shard.words);
-        }
-        if !self.overlays.is_empty() {
-            self.apply_overlays(0, &mut image);
-        }
+        self.observe_range(0, self.len(), &mut image);
         let bank_words: Vec<usize> = self.map.banks().iter().map(|b| b.words).collect();
         let banks = &self.banks;
         let per_bank: Vec<(Vec<(usize, u8)>, InjectionStats)> =

@@ -9,10 +9,15 @@
 //! ideal-bank shortcuts, and no bank fan-out, so it shares no fast path
 //! with the code under test.
 //!
+//! Its [`scrub`] submodule holds the word-at-a-time ECC scrub sweep, the
+//! reference for the production sweep.
+//!
 //! Integration tests include it with `mod oracle;`; the crate's unit tests
 //! include the same file through the crate's own name.
 
 #![allow(dead_code)]
+
+pub mod scrub;
 
 use fault_inject::injector::{geometric_indices, sample_read_mask, InjectionStats};
 use fault_inject::model::{WordFailureModel, WORD_BITS};
