@@ -37,8 +37,9 @@
 //! This contract is what makes the bank-parallel [`ShardedMemory`]
 //! bit-identical at any shard count: no stream ever crosses an
 //! address-range boundary. The seeds live in [`streams`]. The store's
-//! fast kernels (integer draw thresholds, interleaved write lanes) live in
-//! the crate-private `BankModels`; the integration tests check them
+//! fast kernels (integer draw thresholds, interleaved write lanes, the
+//! four-lane AVX2 read sampler) live in the crate-private `BankModels`;
+//! the integration tests check them
 //! against a naive scalar oracle built from [`streams`] and the scalar
 //! samplers of `fault_inject::injector` alone.
 //!
@@ -237,9 +238,7 @@ impl BankModels {
     }
 
     /// `true` when no bank can corrupt a read — reads then draw zero
-    /// randomness and return stored bytes verbatim, which is what lets the
-    /// serving layer share one physical row fetch across a whole
-    /// micro-batch without perturbing any request's fault stream.
+    /// randomness and return stored bytes verbatim.
     pub(crate) fn read_fault_free(&self) -> bool {
         !self.any_read_faulty
     }
@@ -277,6 +276,112 @@ impl BankModels {
             *slot = mask;
         }
         fault_bits
+    }
+
+    /// Samples read-fault masks for four requests at once: lane `r` draws
+    /// from `rngs[r]`, and each `(bank, at, len)` piece, taken in the
+    /// order given, fills `out[r][at..at + len]`. Returns each lane's
+    /// number of set fault bits.
+    ///
+    /// Lane `r` is draw-for-draw identical to calling
+    /// [`sample_read_masks_into`](Self::sample_read_masks_into)`(bank,
+    /// &mut rngs[r], &mut out[r][at..at + len])` for every piece in turn:
+    /// same masks, same count, same end state of `rngs[r]`. On an x86_64
+    /// CPU with AVX2 the four streams run as the lanes of one register;
+    /// everywhere else the scalar sampler runs once per lane.
+    pub(crate) fn sample_read_masks_x4<I>(
+        &self,
+        pieces: I,
+        rngs: &mut [StdRng; 4],
+        out: [&mut [u8]; 4],
+    ) -> [u64; 4]
+    where
+        I: Iterator<Item = (usize, usize, usize)> + Clone,
+    {
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, the only feature the kernel
+            // is compiled for.
+            return unsafe { self.sample_read_masks_avx2(pieces, rngs, out) };
+        }
+        let mut out = out;
+        std::array::from_fn(|r| {
+            pieces
+                .clone()
+                .map(|(bank, at, len)| {
+                    self.sample_read_masks_into(bank, &mut rngs[r], &mut out[r][at..at + len])
+                })
+                .sum()
+        })
+    }
+
+    /// The AVX2 body of [`sample_read_masks_x4`](Self::sample_read_masks_x4):
+    /// the four xoshiro256++ states live in four registers of four `u64`
+    /// lanes each for the whole call, one lane per request. Each draw is
+    /// compared against the active bit's threshold with a signed 64-bit
+    /// compare (both sides are below `2⁶³`), and the four lane verdicts
+    /// are spread into the lanes' mask bytes through a 16-entry table.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn sample_read_masks_avx2<I>(
+        &self,
+        pieces: I,
+        rngs: &mut [StdRng; 4],
+        out: [&mut [u8]; 4],
+    ) -> [u64; 4]
+    where
+        I: Iterator<Item = (usize, usize, usize)>,
+    {
+        use std::arch::x86_64::{_mm256_set_epi64x, _mm256_setzero_si256, _mm256_storeu_si256};
+        let states = rngs.each_ref().map(StdRng::state);
+        // Register k holds word k of every lane's state, lane r in the
+        // r-th 64-bit element.
+        let mut lanes = std::array::from_fn(|k| {
+            _mm256_set_epi64x(
+                states[3][k] as i64,
+                states[2][k] as i64,
+                states[1][k] as i64,
+                states[0][k] as i64,
+            )
+        });
+        let mut hits = _mm256_setzero_si256();
+        let [o0, o1, o2, o3] = out;
+        for (bank, at, len) in pieces {
+            let bits = &self.read_thresholds[bank];
+            let span = at..at + len;
+            let piece = [
+                &mut o0[span.clone()],
+                &mut o1[span.clone()],
+                &mut o2[span.clone()],
+                &mut o3[span],
+            ];
+            let state = (&mut lanes, &mut hits);
+            match bits.len() {
+                0 => piece.into_iter().for_each(|p| p.fill(0)),
+                1 => masks_avx2::<1>(bits, state, piece),
+                2 => masks_avx2::<2>(bits, state, piece),
+                3 => masks_avx2::<3>(bits, state, piece),
+                4 => masks_avx2::<4>(bits, state, piece),
+                5 => masks_avx2::<5>(bits, state, piece),
+                6 => masks_avx2::<6>(bits, state, piece),
+                7 => masks_avx2::<7>(bits, state, piece),
+                _ => masks_avx2::<8>(bits, state, piece),
+            }
+        }
+        let mut words = [[0u64; 4]; 4];
+        let mut counts = [0u64; 4];
+        // SAFETY: each store writes 32 bytes into a `[u64; 4]`; `storeu`
+        // has no alignment requirement.
+        unsafe {
+            for (word, lane) in words.iter_mut().zip(lanes) {
+                _mm256_storeu_si256(word.as_mut_ptr().cast(), lane);
+            }
+            _mm256_storeu_si256(counts.as_mut_ptr().cast(), hits);
+        }
+        for (r, rng) in rngs.iter_mut().enumerate() {
+            *rng = StdRng::from_state(words.map(|word| word[r]));
+        }
+        counts
     }
 
     /// XORs the persistent write-fault masks of the consecutive words
@@ -409,6 +514,86 @@ impl BankModels {
         }
         (out, fault_bits)
     }
+}
+
+/// Nibble → lane bytes: byte `r` of `NIBBLE_SPREAD[n]` is `0xFF` when bit
+/// `r` of `n` is set, so one `movemask` of four lane verdicts becomes the
+/// four lanes' byte masks without a branch.
+#[cfg(target_arch = "x86_64")]
+const NIBBLE_SPREAD: [u32; 16] = {
+    let mut table = [0u32; 16];
+    let mut n = 0;
+    while n < 16 {
+        let mut lane = 0;
+        while lane < 4 {
+            if n >> lane & 1 == 1 {
+                table[n] |= 0xFF << (8 * lane);
+            }
+            lane += 1;
+        }
+        n += 1;
+    }
+    table
+};
+
+/// One piece of the four-lane sampler for a bank with `N` active bits:
+/// per word, `N` four-lane xoshiro256++ steps in bit order, each lane's
+/// verdict `(next_u64() >> 11) < threshold` OR-ed into that lane's mask
+/// byte and counted into `hits`. `N` is a constant so the bit loop
+/// unrolls and every threshold stays in a register.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn masks_avx2<const N: usize>(
+    bits: &[(u8, u64)],
+    (lanes, hits): (
+        &mut [std::arch::x86_64::__m256i; 4],
+        &mut std::arch::x86_64::__m256i,
+    ),
+    out: [&mut [u8]; 4],
+) {
+    use std::arch::x86_64::{
+        _mm256_add_epi64, _mm256_castsi256_pd, _mm256_cmpgt_epi64, _mm256_movemask_pd,
+        _mm256_or_si256, _mm256_set1_epi64x, _mm256_slli_epi64, _mm256_srli_epi64,
+        _mm256_sub_epi64, _mm256_xor_si256,
+    };
+    let bits: &[(u8, u64); N] = bits.try_into().expect("one threshold per active bit");
+    let thresholds = bits.map(|(_, threshold)| _mm256_set1_epi64x(threshold as i64));
+    let bit_bytes = bits.map(|(bit_mask, _)| u32::from(bit_mask) * 0x0101_0101);
+    let [mut s0, mut s1, mut s2, mut s3] = *lanes;
+    let mut count = *hits;
+    let [o0, o1, o2, o3] = out;
+    let words = o0
+        .iter_mut()
+        .zip(o1.iter_mut())
+        .zip(o2.iter_mut())
+        .zip(o3.iter_mut());
+    for (((w0, w1), w2), w3) in words {
+        let mut masks = 0u32;
+        for k in 0..N {
+            // xoshiro256++ `next_u64`, lane-wise (AVX2 has no 64-bit
+            // rotate, so each rotate is two shifts and an OR).
+            let sum = _mm256_add_epi64(s0, s3);
+            let rotated =
+                _mm256_or_si256(_mm256_slli_epi64::<23>(sum), _mm256_srli_epi64::<41>(sum));
+            let draw = _mm256_add_epi64(rotated, s0);
+            let t = _mm256_slli_epi64::<17>(s1);
+            s2 = _mm256_xor_si256(s2, s0);
+            s3 = _mm256_xor_si256(s3, s1);
+            s1 = _mm256_xor_si256(s1, s2);
+            s0 = _mm256_xor_si256(s0, s3);
+            s2 = _mm256_xor_si256(s2, t);
+            s3 = _mm256_or_si256(_mm256_slli_epi64::<45>(s3), _mm256_srli_epi64::<19>(s3));
+            // All-ones in every lane whose 53-bit draw is below threshold.
+            let hit = _mm256_cmpgt_epi64(thresholds[k], _mm256_srli_epi64::<11>(draw));
+            count = _mm256_sub_epi64(count, hit);
+            let nibble = _mm256_movemask_pd(_mm256_castsi256_pd(hit)) as usize & 0xF;
+            masks |= NIBBLE_SPREAD[nibble] & bit_bytes[k];
+        }
+        [*w0, *w1, *w2, *w3] = masks.to_le_bytes();
+    }
+    *lanes = [s0, s1, s2, s3];
+    *hits = count;
 }
 
 #[cfg(test)]
@@ -627,6 +812,178 @@ mod tests {
         });
         assert_eq!(m.counts().reads, 4 * 64);
         assert_eq!(m.counts().writes, 64);
+    }
+
+    /// Bank models whose read thresholds are exactly `read_thresholds`
+    /// (one list per bank), including thresholds no probability maps to.
+    fn with_read_thresholds(read_thresholds: Vec<ActiveBits>) -> BankModels {
+        let mut models = BankModels::new(vec![WordFailureModel::ideal(); read_thresholds.len()]);
+        models.read_faulty = read_thresholds.iter().map(|t| !t.is_empty()).collect();
+        models.any_read_faulty = models.read_faulty.iter().any(|&f| f);
+        models.read_thresholds = read_thresholds;
+        models
+    }
+
+    /// The AVX2 sampler called directly, so it is checked even where
+    /// `sample_read_masks_x4` would pick the scalar path; `None` on a CPU
+    /// without AVX2.
+    fn avx2_x4(
+        models: &BankModels,
+        pieces: &[(usize, usize, usize)],
+        rngs: &mut [StdRng; 4],
+        out: [&mut [u8]; 4],
+    ) -> Option<[u64; 4]> {
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2.
+            return Some(unsafe {
+                models.sample_read_masks_avx2(pieces.iter().copied(), rngs, out)
+            });
+        }
+        let _ = (models, pieces, rngs, out);
+        None
+    }
+
+    /// Lane by lane, the scalar oracle: `sample_read_masks_into` over every
+    /// piece in order on that lane's RNG.
+    fn scalar_x4(
+        models: &BankModels,
+        pieces: &[(usize, usize, usize)],
+        rngs: &mut [StdRng; 4],
+        out: &mut [Vec<u8>; 4],
+    ) -> [u64; 4] {
+        std::array::from_fn(|r| {
+            pieces
+                .iter()
+                .map(|&(bank, at, len)| {
+                    models.sample_read_masks_into(bank, &mut rngs[r], &mut out[r][at..at + len])
+                })
+                .sum()
+        })
+    }
+
+    /// A random sampler problem from `seed`: nine banks, bank `k` with `k`
+    /// active bits (every count 0..=8 in every case) at edge-case and
+    /// random thresholds; draw-order pieces grouped into rows that a bank
+    /// boundary may cut in two, plus 1-word bias rows; rows placed in the
+    /// output in shuffled order with gaps; four lane RNGs (sometimes two
+    /// sharing a state).
+    #[allow(clippy::type_complexity)]
+    fn sampler_problem(seed: u64) -> (BankModels, Vec<(usize, usize, usize)>, usize, [StdRng; 4]) {
+        use rand::seq::SliceRandom;
+        let mut rng = StdRng::seed_from_u64(seed);
+        const TOP: u64 = 1 << 53;
+        let thresholds: Vec<ActiveBits> = (0..=WORD_BITS)
+            .map(|k| {
+                let mut positions: Vec<u8> = (0..WORD_BITS as u8).collect();
+                positions.shuffle(&mut rng);
+                positions.truncate(k);
+                positions.sort_unstable();
+                positions
+                    .into_iter()
+                    .map(|bit| {
+                        let threshold = match rng.gen_range(0..8u32) {
+                            0 => 0,
+                            1 => 1,
+                            2 => TOP - 1,
+                            3 => TOP,
+                            4 => TOP - rng.gen_range(1..1024u64),
+                            5 => rng.gen_range(0..=TOP),
+                            _ => (rng.gen_range(0.0..0.3f64) * TOP as f64) as u64,
+                        };
+                        (1u8 << bit, threshold)
+                    })
+                    .collect()
+            })
+            .collect();
+        let banks = thresholds.len();
+        // Rows in draw order: each 1-3 pieces long (a bank cut), or a
+        // 1-word bias.
+        let rows: Vec<Vec<(usize, usize)>> = (0..rng.gen_range(1..24usize))
+            .map(|_| {
+                if rng.gen_bool(0.3) {
+                    vec![(rng.gen_range(0..banks), 1)]
+                } else {
+                    (0..rng.gen_range(1..=3usize))
+                        .map(|_| (rng.gen_range(0..banks), rng.gen_range(0..48usize)))
+                        .collect()
+                }
+            })
+            .collect();
+        let mut order: Vec<usize> = (0..rows.len()).collect();
+        order.shuffle(&mut rng);
+        let mut row_at = vec![0usize; rows.len()];
+        let mut words = 0usize;
+        for &i in &order {
+            words += rng.gen_range(0..3usize);
+            row_at[i] = words;
+            words += rows[i].iter().map(|&(_, len)| len).sum::<usize>();
+        }
+        let pieces = rows
+            .iter()
+            .zip(&row_at)
+            .flat_map(|(row, &at)| {
+                row.iter().scan(at, |at, &(bank, len)| {
+                    *at += len;
+                    Some((bank, *at - len, len))
+                })
+            })
+            .collect();
+        let mut rngs: [StdRng; 4] = std::array::from_fn(|_| StdRng::seed_from_u64(rng.gen()));
+        if rng.gen_bool(0.2) {
+            rngs[3] = rngs[1].clone();
+        }
+        (with_read_thresholds(thresholds), pieces, words + 2, rngs)
+    }
+
+    proptest::proptest! {
+        /// Four lanes of the AVX2 sampler equal four scalar runs: masks
+        /// (and untouched gap words), fault-bit counts, and end RNG states.
+        #[test]
+        fn fault_sampler_lanes_match_four_scalar_runs(seed in proptest::prelude::any::<u64>()) {
+            let (models, pieces, words, rngs) = sampler_problem(seed);
+            let mut want_rngs = rngs.clone();
+            let mut want = std::array::from_fn(|_| vec![0xA5u8; words]);
+            let want_bits = scalar_x4(&models, &pieces, &mut want_rngs, &mut want);
+            let mut got_rngs = rngs.clone();
+            let mut got: [Vec<u8>; 4] = std::array::from_fn(|_| vec![0xA5u8; words]);
+            let [a, b, c, d] = &mut got;
+            let dispatched = models.sample_read_masks_x4(
+                pieces.iter().copied(),
+                &mut got_rngs,
+                [a, b, c, d],
+            );
+            proptest::prop_assert_eq!(dispatched, want_bits);
+            proptest::prop_assert_eq!(&got, &want);
+            proptest::prop_assert_eq!(&got_rngs, &want_rngs);
+            let mut got_rngs = rngs.clone();
+            let mut got: [Vec<u8>; 4] = std::array::from_fn(|_| vec![0xA5u8; words]);
+            let [a, b, c, d] = &mut got;
+            if let Some(bits) = avx2_x4(&models, &pieces, &mut got_rngs, [a, b, c, d]) {
+                proptest::prop_assert_eq!(bits, want_bits);
+                proptest::prop_assert_eq!(&got, &want);
+                proptest::prop_assert_eq!(&got_rngs, &want_rngs);
+            }
+        }
+    }
+
+    #[test]
+    fn fault_sampler_edge_thresholds_hit_never_and_always() {
+        // Threshold 0 never faults, 2^53 always does; both still draw.
+        let models = with_read_thresholds(vec![vec![(0x01, 0), (0x80, 1 << 53)]]);
+        let mut rngs: [StdRng; 4] = std::array::from_fn(|r| StdRng::seed_from_u64(r as u64));
+        let mut want_rngs = rngs.clone();
+        for rng in &mut want_rngs {
+            for _ in 0..2 * 33 {
+                rng.next_u64();
+            }
+        }
+        let mut out: [Vec<u8>; 4] = std::array::from_fn(|_| vec![0u8; 33]);
+        let [a, b, c, d] = &mut out;
+        let bits = models.sample_read_masks_x4([(0, 0, 33)].into_iter(), &mut rngs, [a, b, c, d]);
+        assert_eq!(bits, [33; 4]);
+        assert!(out.iter().all(|lane| lane.iter().all(|&m| m == 0x80)));
+        assert_eq!(rngs, want_rngs);
     }
 
     #[test]

@@ -64,8 +64,7 @@ impl Clone for Shard {
 /// A span of words whose cells latch to fixed values: every read of the
 /// span observes `(stored | or_mask) & and_mask`. Stuck cells are a
 /// *sensing* defect — they corrupt what reads return without drawing any
-/// randomness, so the batch-amortized serving path stays valid and every
-/// per-request fault stream is untouched.
+/// randomness, so every per-request fault stream is untouched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StuckRange {
     /// First global word of the span.
@@ -338,8 +337,7 @@ impl ShardedMemory {
 
     /// Marks `start..start + words` stuck: every subsequent read of the
     /// span observes `(stored | or_mask) & and_mask`. Stuck sensing draws
-    /// no randomness, so every fault stream (and the batch-amortized
-    /// serving path) is unaffected.
+    /// no randomness, so every fault stream is unaffected.
     ///
     /// # Panics
     ///
@@ -524,13 +522,22 @@ impl ShardedMemory {
         }
     }
 
-    /// Fills `out` with the observed bytes of `start..start + len`: one
-    /// copy per shard segment, then stuck masks and spare rows applied
-    /// once over the whole span. A maintenance-port read — no transient
-    /// faults and no read counter; callers that bill reads charge them
-    /// themselves.
-    pub(crate) fn observe_range(&self, start: usize, len: usize, out: &mut Vec<u8>) {
-        debug_assert!(start + len <= self.len());
+    /// Fills `out` (cleared first) with the observed bytes of `start..start
+    /// + len` — what [`read_raw`](Self::read_raw) returns word by word:
+    /// one copy per shard segment, then stuck masks and spare rows applied
+    /// once over the whole span. No transient faults and no read counter:
+    /// the maintenance port reads through it, and the batch datapath pairs
+    /// it with [`sample_read_masks`](Self::sample_read_masks) and bills
+    /// its reads with [`charge_reads`](Self::charge_reads).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start + len` exceeds the capacity.
+    pub fn observe_range(&self, start: usize, len: usize, out: &mut Vec<u8>) {
+        assert!(
+            start.checked_add(len).is_some_and(|end| end <= self.len()),
+            "observed range out of range"
+        );
         out.clear();
         let mut pos = 0usize;
         while pos < len {
@@ -693,18 +700,7 @@ impl ShardedMemory {
         );
         masks.clear();
         masks.resize(len, 0);
-        // Mask pass: bank segments, caller's RNG in address order.
-        let mut fault_bits = 0u64;
-        let mut pos = 0usize;
-        while pos < len {
-            let idx = start + pos;
-            let bank = self.bank_of(idx);
-            let seg = (self.bank_ends[bank] - idx).min(len - pos);
-            fault_bits += self
-                .banks
-                .sample_read_masks_into(bank, rng, &mut masks[pos..pos + seg]);
-            pos += seg;
-        }
+        let fault_bits = self.sample_read_masks(start, [(0, len)], rng, masks);
         // Value pass: shard segments, one counter bump per segment.
         self.observe_range(start, len, words);
         self.charge_reads(start, len, 1);
@@ -716,11 +712,98 @@ impl ShardedMemory {
         fault_bits
     }
 
+    /// Samples one reader's read-fault masks without reading any value or
+    /// bumping any counter — the mask half of a batch fetch whose values
+    /// come from [`observe_range`](Self::observe_range).
+    ///
+    /// `spans` are `(at, len)` runs of the words `start + at..start + at +
+    /// len`, taken in the reader's draw order; each run's masks land at
+    /// `masks[at..at + len]` (words no span covers are left as they are).
+    /// Draw-for-draw identical to reading the spans in that order with
+    /// [`read_row_shared`](Self::read_row_shared) on the same RNG. Returns
+    /// the number of set fault bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a span runs past the capacity or past `masks`.
+    pub fn sample_read_masks<R, S>(
+        &self,
+        start: usize,
+        spans: S,
+        rng: &mut R,
+        masks: &mut [u8],
+    ) -> u64
+    where
+        R: Rng + ?Sized,
+        S: IntoIterator<Item = (usize, usize)>,
+        S::IntoIter: Clone,
+    {
+        self.bank_pieces(start, spans)
+            .map(|(bank, at, len)| {
+                self.banks
+                    .sample_read_masks_into(bank, rng, &mut masks[at..at + len])
+            })
+            .sum()
+    }
+
+    /// [`sample_read_masks`](Self::sample_read_masks) for four readers at
+    /// once over the same spans: reader `r` draws from `rngs[r]` into
+    /// `masks[r]`. Each reader's masks, fault-bit count and end RNG state
+    /// equal its own `sample_read_masks` call. On an x86_64 CPU with AVX2
+    /// the four streams run as the lanes of one 256-bit kernel, chosen at
+    /// run time; elsewhere the scalar sampler runs once per reader.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a span runs past the capacity or past any of `masks`.
+    pub fn sample_read_masks_x4<S>(
+        &self,
+        start: usize,
+        spans: S,
+        rngs: &mut [StdRng; 4],
+        masks: [&mut [u8]; 4],
+    ) -> [u64; 4]
+    where
+        S: IntoIterator<Item = (usize, usize)>,
+        S::IntoIter: Clone,
+    {
+        self.banks
+            .sample_read_masks_x4(self.bank_pieces(start, spans), rngs, masks)
+    }
+
+    /// Splits each `(at, len)` span of the words `start + at..` at bank
+    /// boundaries into `(bank, at, len)` pieces, in span order.
+    fn bank_pieces<'a, S>(
+        &'a self,
+        start: usize,
+        spans: S,
+    ) -> impl Iterator<Item = (usize, usize, usize)> + Clone + 'a
+    where
+        S: IntoIterator<Item = (usize, usize)>,
+        S::IntoIter: Clone + 'a,
+    {
+        spans.into_iter().flat_map(move |(at, len)| {
+            let from = start + at;
+            assert!(
+                from.checked_add(len).is_some_and(|end| end <= self.len()),
+                "mask span out of range"
+            );
+            let mut pos = 0usize;
+            std::iter::from_fn(move || {
+                (pos < len).then(|| {
+                    let bank = self.bank_of(from + pos);
+                    let seg = (self.bank_ends[bank] - (from + pos)).min(len - pos);
+                    pos += seg;
+                    (bank, at + pos - seg, seg)
+                })
+            })
+        })
+    }
+
     /// `true` when no bank can corrupt a read: every read returns stored
-    /// bytes verbatim and draws zero randomness from the caller's RNG.
-    /// This is the condition under which the serving layer may feed one
-    /// physical row fetch to a whole micro-batch — with nothing drawn, all
-    /// per-request fault streams stay untouched and replay identically.
+    /// bytes verbatim and draws zero randomness from the caller's RNG, so
+    /// every request of a micro-batch sees the same bytes and the batch
+    /// datapath can stream one weight row through several requests' MACs.
     pub fn read_fault_free(&self) -> bool {
         self.banks.read_fault_free()
     }

@@ -195,6 +195,65 @@ proptest! {
         prop_assert_eq!(sharded.counts(), mono.counts());
     }
 
+    /// The batch datapath's mask sampler, one reader and four at once,
+    /// replays each reader's scalar `read_shared` stream over spans taken
+    /// in draw order — spans that bank boundaries cut, 1-word spans, and
+    /// spans out of address order — and bills no reads.
+    #[test]
+    fn fault_sampler_spans_replay_the_scalar_stream(
+        banks in arb_banks(),
+        msb in 0usize..=8,
+        rates in arb_rates(),
+        shards in 1usize..10,
+        spans in prop::collection::vec((any::<u16>(), 0usize..64), 0..12),
+        rng_seeds in (0u64..1000, 0u64..1000, 0u64..1000, 0u64..1000),
+    ) {
+        let (mut mono, mut sharded) = build_pair(&banks, msb, &rates, 3, shards);
+        let total: usize = banks.iter().sum();
+        let data: Vec<u8> = (0..total).map(|i| (i * 29) as u8).collect();
+        mono.load(&data);
+        sharded.load(&data);
+        let start = total / 3;
+        let region = total - start;
+        let spans: Vec<(usize, usize)> = spans
+            .into_iter()
+            .map(|(at, len)| {
+                let at = at as usize % region;
+                (at, len.min(region - at))
+            })
+            .collect();
+        let seeds = [rng_seeds.0, rng_seeds.1, rng_seeds.2, rng_seeds.3];
+        let mut want_rngs = seeds.map(StdRng::seed_from_u64);
+        let mut want = vec![vec![0x5Au8; region]; 4];
+        let mut want_bits = [0u64; 4];
+        for ((lane, rng), bits) in want.iter_mut().zip(&mut want_rngs).zip(&mut want_bits) {
+            for &(at, len) in &spans {
+                for (k, slot) in lane[at..at + len].iter_mut().enumerate() {
+                    let (_, mask) = mono.read_shared(start + at + k, rng);
+                    *slot = mask;
+                    *bits += u64::from(mask.count_ones());
+                }
+            }
+        }
+        let counts = sharded.counts();
+
+        let mut rng = StdRng::seed_from_u64(seeds[0]);
+        let mut one = vec![0x5Au8; region];
+        let bits = sharded.sample_read_masks(start, spans.iter().copied(), &mut rng, &mut one);
+        prop_assert_eq!(bits, want_bits[0]);
+        prop_assert_eq!(&one, &want[0]);
+        prop_assert_eq!(&rng, &want_rngs[0]);
+
+        let mut rngs = seeds.map(StdRng::seed_from_u64);
+        let mut got = vec![vec![0x5Au8; region]; 4];
+        let [a, b, c, d] = &mut got[..] else { unreachable!() };
+        let bits = sharded.sample_read_masks_x4(start, spans.iter().copied(), &mut rngs, [a, b, c, d]);
+        prop_assert_eq!(bits, want_bits);
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(&rngs, &want_rngs);
+        prop_assert_eq!(sharded.counts(), counts);
+    }
+
     /// `charge_reads` bills exactly `len * copies` reads to exactly the
     /// shards that own the span, matching a loop of scalar reads.
     #[test]

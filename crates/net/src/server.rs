@@ -22,8 +22,9 @@
 //! uses: each pops an adaptive micro-batch off the shared [`BatchQueue`],
 //! splits it into runs of consecutive same-tenant jobs, and classifies
 //! each run with [`classify_micro_batch`] on that tenant's system and
-//! seed stream. On a read-fault-free store a run shares one bank fetch
-//! per layer. Per request, a worker sends the result back over an `mpsc`
+//! seed stream. A run shares one bank fetch per layer on any store, and
+//! on a read-faulty one its requests' fault streams are sampled four at
+//! a time. Per request, a worker sends the result back over an `mpsc`
 //! channel and writes one byte to a wake socket.
 //!
 //! When a pass over the sockets moves nothing, the IO thread blocks in

@@ -471,11 +471,12 @@ fn digests_are_identical_across_connection_and_worker_counts() {
     assert_eq!(c.1, 0, "a read-fault-free store injects no fault bits");
 }
 
-#[test]
-fn burst_on_a_fault_free_store_matches_sequential_classify() {
-    let registry = fault_free_registry(77);
+/// A closed-loop burst of `requests` on `registry` at one worker; returns
+/// the client digest, the server digest, and the sequential
+/// `ModelRegistry::classify` digest with its total fault bits.
+fn burst_against_sequential(registry: &Arc<ModelRegistry>, requests: u64) -> [u64; 4] {
     let server = server::spawn(
-        Arc::clone(&registry),
+        Arc::clone(registry),
         NetServerOptions {
             workers: 1,
             ..NetServerOptions::default()
@@ -488,7 +489,7 @@ fn burst_on_a_fault_free_store_matches_sequential_classify() {
         &streams,
         &LoadOptions {
             rate: 0.0,
-            requests: 128,
+            requests: requests as usize,
             connections: 2,
             seed: 5,
             drain_timeout: Duration::from_secs(20),
@@ -496,18 +497,38 @@ fn burst_on_a_fault_free_store_matches_sequential_classify() {
     )
     .expect("load run");
     let report = server.stop();
-    assert_eq!(load.ok, 128, "default caps shed nothing at 128 in flight");
-    assert_eq!(load.fault_bits, 0);
+    assert_eq!(
+        load.ok, requests,
+        "default caps shed nothing at {requests} in flight"
+    );
     // Loadgen's documented mapping: request `i` is stream `i % streams`,
     // feature vector `(i / streams) % features`, request id `i`.
     let mut ctx = registry.make_context(0);
-    let expected = (0..128u64).fold(0u64, |acc, id| {
+    let mut fault_bits = 0u64;
+    let expected = (0..requests).fold(0u64, |acc, id| {
         let s = &streams[id as usize % streams.len()];
         let features = &s.features[(id as usize / streams.len()) % s.features.len()];
-        let (prediction, fault_bits) = registry.classify(s.tenant.into(), features, id, &mut ctx);
-        assert_eq!(fault_bits, 0);
-        acc.wrapping_add(response_mix(s.tenant, id, prediction as u16, 0))
+        let (prediction, bits) = registry.classify(s.tenant.into(), features, id, &mut ctx);
+        fault_bits += bits;
+        acc.wrapping_add(response_mix(s.tenant, id, prediction as u16, bits as u32))
     });
-    assert_eq!(load.digest, expected);
-    assert_eq!(report.digest(), expected);
+    assert_eq!(load.fault_bits, fault_bits);
+    [load.digest, report.digest(), expected, fault_bits]
+}
+
+#[test]
+fn burst_on_a_fault_free_store_matches_sequential_classify() {
+    let [client, server, expected, fault_bits] =
+        burst_against_sequential(&fault_free_registry(77), 128);
+    assert_eq!(fault_bits, 0);
+    assert_eq!(client, expected);
+    assert_eq!(server, expected);
+}
+
+#[test]
+fn burst_on_a_read_faulty_store_matches_sequential_classify() {
+    let [client, server, expected, fault_bits] = burst_against_sequential(&tiny_registry(77), 128);
+    assert!(fault_bits > 0, "the tiny tenants fault on read");
+    assert_eq!(client, expected);
+    assert_eq!(server, expected);
 }

@@ -13,7 +13,7 @@
 //!
 //! ```text
 //! requests → BatchQueue → adaptive micro-batches → workers
-//!          → classify_micro_batch → ShardedMemory row fetch
+//!          → classify_micro_batch → one ShardedMemory bank fetch per batch
 //! ```
 //!
 //! **Determinism contract.** Request `id`'s randomness is

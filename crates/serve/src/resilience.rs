@@ -168,7 +168,8 @@ impl ResilienceController {
                 spare_rows_free -= 1;
             }
         }
-        let reference: Vec<u8> = (0..memory.len()).map(|i| memory.read_raw(i)).collect();
+        let mut reference = Vec::with_capacity(memory.len());
+        memory.observe_range(0, memory.len(), &mut reference);
         let sidecar = EccSidecar::protect(memory);
         let shards = memory.shard_count();
         Self {
@@ -367,6 +368,26 @@ mod tests {
             for (i, &g) in golden.iter().enumerate().skip(start).take(words) {
                 assert_eq!(m.read_raw(i), g);
             }
+        }
+    }
+
+    #[test]
+    fn boot_reference_is_the_observed_image() {
+        for shards in [1, 3] {
+            let (mut m, golden) = store(0.08, shards);
+            // Stuck spans across a row boundary, at the store's end, and
+            // under rows the boot BIST is about to remap.
+            m.inject_stuck_range(30, 70, 0x21, 0xEF);
+            m.inject_stuck_range(500, 12, 0x80, 0xFF);
+            let config = ResilienceConfig {
+                bist_weak_bits_threshold: 1,
+                ..ResilienceConfig::default()
+            };
+            let ctl = ResilienceController::new(&mut m, &golden, config);
+            assert!(!m.repaired_rows().is_empty(), "BIST must repair rows");
+            let per_word: Vec<u8> = (0..m.len()).map(|i| m.read_raw(i)).collect();
+            assert_eq!(ctl.reference, per_word, "{shards} shards");
+            assert_ne!(per_word, m.raw_image(), "the overlays must show");
         }
     }
 

@@ -1,6 +1,9 @@
 //! The one scheduler both serving tiers run on: [`BatchQueue`] hands
 //! workers adaptive micro-batches, and [`classify_micro_batch`] runs each
-//! batch through the datapath. A request's randomness is
+//! batch through the one batch datapath,
+//! [`NeuromorphicSystem::classify_batch`], on any store — read-faulty
+//! stores included, where four requests' fault streams are sampled per
+//! AVX2 pass. A request's randomness is
 //! `derive_seed(seed, request_id)`, so its prediction and fault bits do
 //! not depend on which worker popped it or which batch it landed in.
 
@@ -98,22 +101,24 @@ pub struct Completion {
     pub fault_bits: u64,
     /// Memory words the request read.
     pub words_read: u64,
-    /// Compute start. Members of a batch-amortized fetch share one span.
+    /// Compute start. Members of one micro-batch share one span.
     pub started: Instant,
     /// Compute end.
     pub finished: Instant,
 }
 
-/// Classifies one micro-batch on `system`, calling `done` for each job as
-/// soon as it is finished. `request` names a job's request id in the seed
-/// stream rooted at `seed`, and its input features. When the store is read-fault-free and the batch holds more
-/// than one request, one bank fetch per layer feeds the whole batch
-/// ([`NeuromorphicSystem::classify_batch`]); otherwise each request runs
-/// [`NeuromorphicSystem::classify_request`] on one warm context. Both give
-/// bit-identical predictions and accounting.
+/// Classifies one micro-batch on `system` and calls `done` for each job.
+/// `request` names a job's request id in the seed stream rooted at
+/// `seed`, and its input features. The whole batch runs through
+/// [`NeuromorphicSystem::classify_batch`] on any store: one bank fetch per
+/// layer feeds every request, and on a read-faulty store the requests'
+/// fault streams are sampled four at a time. Predictions and accounting
+/// are bit-identical to [`NeuromorphicSystem::classify_request`] per
+/// request.
 ///
 /// `ctxs` is the caller's scratch. It grows to the largest batch seen and
-/// may serve any system, since every request re-arms its context.
+/// may serve any system, since every request re-arms its context; its
+/// first context holds the batch path's bank scratch.
 pub fn classify_micro_batch<J>(
     system: &NeuromorphicSystem,
     seed: u64,
@@ -122,34 +127,26 @@ pub fn classify_micro_batch<J>(
     ctxs: &mut Vec<InferContext>,
     mut done: impl FnMut(&J, Completion),
 ) {
-    let fused = batch.len() > 1 && system.memory().read_fault_free();
-    let lanes = if fused { batch.len() } else { 1 };
-    while ctxs.len() < lanes {
+    while ctxs.len() < batch.len() {
         ctxs.push(system.make_context(seed, 0));
     }
-    for chunk in batch.chunks(lanes) {
-        let ctxs = &mut ctxs[..chunk.len()];
-        for (job, ctx) in chunk.iter().zip(ctxs.iter_mut()) {
-            ctx.reset(seed, request(job).0);
-        }
-        let started = Instant::now();
-        let predictions = if fused {
-            let features: Vec<&[f32]> = chunk.iter().map(|job| request(job).1).collect();
-            system.classify_batch(&features, ctxs)
-        } else {
-            vec![system.classify_request(request(&chunk[0]).1, &mut ctxs[0])]
+    let ctxs = &mut ctxs[..batch.len()];
+    for (job, ctx) in batch.iter().zip(ctxs.iter_mut()) {
+        ctx.reset(seed, request(job).0);
+    }
+    let features: Vec<&[f32]> = batch.iter().map(|job| request(job).1).collect();
+    let started = Instant::now();
+    let predictions = system.classify_batch(&features, ctxs);
+    let finished = Instant::now();
+    for ((job, ctx), prediction) in batch.iter().zip(ctxs.iter()).zip(predictions) {
+        let completion = Completion {
+            prediction,
+            fault_bits: ctx.fault_bits(),
+            words_read: ctx.reads(),
+            started,
+            finished,
         };
-        let finished = Instant::now();
-        for ((job, ctx), prediction) in chunk.iter().zip(ctxs.iter()).zip(predictions) {
-            let completion = Completion {
-                prediction,
-                fault_bits: ctx.fault_bits(),
-                words_read: ctx.reads(),
-                started,
-                finished,
-            };
-            done(job, completion);
-        }
+        done(job, completion);
     }
 }
 

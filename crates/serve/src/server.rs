@@ -3,16 +3,15 @@
 //!
 //! ```text
 //!  requests ──▶ BatchQueue ──pop_batch──▶ worker 0..W ──▶ classify_micro_batch
-//!  (id 0..n,    (filled,      (adaptive                    ├─ classify_batch
-//!   at t=0)      then closed)  micro-batch)                │  (read-fault-free)
-//!                                                          └─ classify_request
+//!  (id 0..n,    (filled,      (adaptive                    └─ classify_batch
+//!   at t=0)      then closed)  micro-batch)                   (one bank fetch)
 //! ```
 //!
 //! A pop admits `queue_len / (2·workers)` requests, clamped to
 //! `[1, max_batch]`: a deep queue amortizes lock traffic, a draining one
-//! falls back to single requests and keeps the stragglers balanced. On a
-//! read-fault-free store a batch shares one bank fetch per layer;
-//! otherwise its requests share one warm [`InferContext`].
+//! falls back to single requests and keeps the stragglers balanced. A
+//! batch shares one bank fetch per layer on any store; on a read-faulty
+//! one its requests' fault streams are sampled four at a time.
 //!
 //! # Determinism
 //!
@@ -66,9 +65,9 @@ pub struct ServeReport {
     /// separate from [`service`](Self::service) so backlog and datapath
     /// cost are not conflated in one histogram.
     pub queue_wait: LatencyHistogram,
-    /// Service-time distribution: processing start → completion. For a
-    /// batch-amortized pop the batch's members share one fetch, so they
-    /// record the batch's service span each.
+    /// Service-time distribution: processing start → completion. A pop's
+    /// members share one fetch, so they record the batch's service span
+    /// each.
     pub service: LatencyHistogram,
     /// Wall time of the whole run.
     pub wall: Duration,

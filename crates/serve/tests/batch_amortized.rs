@@ -1,7 +1,8 @@
 //! The fused bulk-read serving datapath against golden scalar digests.
 //!
-//! The batch-amortized path (one physical fetch per layer bank feeding a
-//! whole micro-batch) is only legal on read-fault-free memories; these tests pin
+//! The batch path (one physical fetch per layer bank feeding a whole
+//! micro-batch) streams each weight row through four requests' MACs on
+//! read-fault-free memories; these tests pin
 //! it byte-identical to the scalar per-request datapath at every worker ×
 //! shard × batch combination, and against a digest recorded from the
 //! pre-fusion scalar implementation — any drift here means the fused
@@ -27,7 +28,7 @@ const REQUESTS: usize = 48;
 const GOLDEN_DIGEST: u64 = 11269891199950094092;
 
 /// A server over a write-faulty but *read-fault-free* hybrid memory — the
-/// regime where the batch-amortized path is allowed to engage. Write
+/// regime where every request of a batch sees the same bytes. Write
 /// faults still exercise the address-keyed corruption streams at load.
 fn server(shards: usize, workers: usize, max_batch: usize) -> (InferenceServer, Vec<Vec<f32>>) {
     let (q, test_set) = trained_digit_network();

@@ -42,7 +42,9 @@ fn argmax_lowest(codes: &[u8]) -> Option<usize> {
     (!codes.is_empty()).then_some(best)
 }
 
-/// Requests the batch datapath feeds the NPE per pass over a weight row.
+/// Requests per pass of the batch datapath: per pass over a weight row on
+/// a read-fault-free store, per pass of the four-lane fault sampler on a
+/// read-faulty one.
 const REQUESTS_PER_PASS: usize = 4;
 
 /// Shape of one layer as seen by the controller.
@@ -50,6 +52,19 @@ const REQUESTS_PER_PASS: usize = 4;
 struct LayerShape {
     inputs: usize,
     outputs: usize,
+}
+
+impl LayerShape {
+    /// Words in the layer's bank: the weights, then one bias per neuron.
+    fn bank_words(self) -> usize {
+        self.inputs * self.outputs + self.outputs
+    }
+
+    /// The weights (neuron-major) and biases of the bank `bank` starts
+    /// with.
+    fn split_bank(self, bank: &[u8]) -> (&[u8], &[u8]) {
+        bank[..self.bank_words()].split_at(self.inputs * self.outputs)
+    }
 }
 
 /// Per-request mutable state: the fault RNG plus the controller's scratch
@@ -245,26 +260,23 @@ impl NeuromorphicSystem {
 
     /// A context for request `request_id` of the stream rooted at
     /// `base_seed`, with every scratch buffer pre-sized from this system's
-    /// layer shapes — the warm path never reallocates, not even on the
-    /// first request. The fetch scratch holds the largest layer bank, so a
-    /// context can also lend it to [`classify_batch`](Self::classify_batch).
-    /// Behaviorally identical to [`InferContext::for_request`].
+    /// layer shapes — the per-request path never reallocates, not even on
+    /// the first request. The fetch scratch holds the widest weight row;
+    /// the bank scratch of [`classify_batch`](Self::classify_batch) is
+    /// grown once, in the first context of a worker's batches, not in
+    /// every context. Behaviorally identical to
+    /// [`InferContext::for_request`].
     pub fn make_context(&self, base_seed: u64, request_id: u64) -> InferContext {
         let mut ctx = InferContext::for_request(base_seed, request_id);
-        let bank = self
-            .shapes
-            .iter()
-            .map(|s| s.inputs * s.outputs + s.outputs)
-            .max()
-            .unwrap_or(0);
+        let row = self.shapes.iter().map(|s| s.inputs).max().unwrap_or(0);
         let width = self
             .shapes
             .iter()
             .map(|s| s.inputs.max(s.outputs))
             .max()
             .unwrap_or(0);
-        ctx.weight_buf.reserve_exact(bank);
-        ctx.mask_buf.reserve_exact(bank);
+        ctx.weight_buf.reserve_exact(row);
+        ctx.mask_buf.reserve_exact(row);
         ctx.activations.reserve_exact(width);
         ctx.next.reserve_exact(width);
         ctx
@@ -272,10 +284,7 @@ impl NeuromorphicSystem {
 
     /// Weight + bias words one full forward pass reads.
     pub fn reads_per_inference(&self) -> usize {
-        self.shapes
-            .iter()
-            .map(|s| s.inputs * s.outputs + s.outputs)
-            .sum()
+        self.shapes.iter().map(|s| s.bank_words()).sum()
     }
 
     /// Multiply-accumulates per inference (for energy accounting).
@@ -327,7 +336,7 @@ impl NeuromorphicSystem {
                 ctx.next
                     .push(self.npe.neuron(&ctx.weight_buf, bias, &ctx.activations));
             }
-            bank_base += shape.inputs * shape.outputs + shape.outputs;
+            bank_base += shape.bank_words();
             std::mem::swap(&mut ctx.activations, &mut ctx.next);
         }
         &ctx.activations
@@ -345,36 +354,42 @@ impl NeuromorphicSystem {
         argmax_lowest(outputs).expect("non-empty output layer")
     }
 
-    /// Classifies a micro-batch sharing one physical fetch per layer across
-    /// all requests — the batch-amortized datapath the serving layer uses
-    /// when the memory is read-fault-free.
+    /// Classifies a micro-batch on shared state, fetching each layer bank
+    /// once for the whole batch — the datapath the serving layer runs
+    /// every micro-batch through, on any store.
     ///
-    /// Each layer's bank (weights neuron-major, then biases; see
-    /// [`layout`]) is read with one
-    /// [`read_row_shared`](ShardedMemory::read_row_shared) into the first
-    /// context's scratch. The controller then walks the neurons, feeding
-    /// requests to the NPE in blocks of four
-    /// ([`Npe::neurons`]) so each weight row is streamed once per four
-    /// requests, and the last one to three requests one at a time.
+    /// The system's banks (each weights neuron-major, then biases; see
+    /// [`layout`]) are read once through
+    /// [`observe_range`](ShardedMemory::observe_range) into a bank scratch
+    /// borrowed from the first context, and billed once per request via
+    /// [`charge_reads`](ShardedMemory::charge_reads). Then:
     ///
-    /// On such a memory the scalar datapath draws **zero** randomness, so
-    /// feeding every request from one fetch perturbs nothing: outputs,
-    /// fault accounting (all zeros), per-context read counts, and each
-    /// context's RNG state are byte-identical to running
-    /// [`classify_request`](Self::classify_request) per request. Shard
-    /// read counters are kept identical too, by billing the shared fetch
-    /// once per request via
-    /// [`charge_reads`](ShardedMemory::charge_reads).
+    /// * **Read-fault-free store:** every request sees the same bytes, so
+    ///   the controller walks the neurons feeding requests to the NPE in
+    ///   blocks of four ([`Npe::neurons`]): each weight row is streamed
+    ///   once per four requests, and the last one to three requests one
+    ///   at a time. No randomness is drawn.
+    /// * **Read-faulty store:** requests go in blocks of four through
+    ///   [`sample_read_masks_x4`](ShardedMemory::sample_read_masks_x4),
+    ///   which runs the four requests' fault streams side by side over
+    ///   the whole request, in each request's own draw order (row `n`,
+    ///   then bias `n`, layer by layer — masks never depend on
+    ///   activations, so sampling them up front reorders nothing); a block
+    ///   of two or three fills the spare lanes with throwaway streams, and
+    ///   a lone leftover request takes the scalar
+    ///   [`sample_read_masks`](ShardedMemory::sample_read_masks). Each
+    ///   request's MAC then runs on its own `bank ^ mask` image.
+    ///
+    /// Either way every request's output codes, prediction, fault bits,
+    /// read count and end RNG state, and every shard counter, are
+    /// byte-identical to running
+    /// [`classify_request`](Self::classify_request) per request.
     ///
     /// # Panics
     ///
-    /// Panics if the memory can fault a read, if `batch` and `ctxs`
-    /// lengths differ, or on a feature-width mismatch.
+    /// Panics if `batch` and `ctxs` lengths differ, or on a feature-width
+    /// mismatch.
     pub fn classify_batch(&self, batch: &[&[f32]], ctxs: &mut [InferContext]) -> Vec<usize> {
-        assert!(
-            self.memory.read_fault_free(),
-            "batch-amortized path requires a read-fault-free memory"
-        );
         assert_eq!(batch.len(), ctxs.len(), "one context per request");
         if batch.is_empty() {
             return Vec::new();
@@ -389,34 +404,79 @@ impl NeuromorphicSystem {
             ctx.activations
                 .extend(features.iter().map(|&f| encode_activation(f)));
         }
-        let copies = batch.len();
-        // The shared bank scratch is borrowed from the first context (which
-        // `make_context` pre-sizes to the largest bank) and handed back at
-        // the end, so warm batches never allocate.
-        let mut bank = std::mem::take(&mut ctxs[0].weight_buf);
-        let mut bank_masks = std::mem::take(&mut ctxs[0].mask_buf);
-        let mut bank_base = self.base_addr;
-        for shape in &self.shapes {
-            let weight_words = shape.inputs * shape.outputs;
-            let bank_len = weight_words + shape.outputs;
-            // A read-fault-free memory draws nothing from the RNG it is
-            // handed, so the first context's stream stays untouched.
-            let faults = self.memory.read_row_shared(
-                bank_base,
-                bank_len,
-                &mut ctxs[0].rng,
-                &mut bank,
-                &mut bank_masks,
-            );
-            debug_assert_eq!(faults, 0, "read-fault-free memory faulted");
-            self.memory.charge_reads(bank_base, bank_len, copies - 1);
-            let (weights, biases) = bank.split_at(weight_words);
+        let words = self.reads_per_inference();
+        // The bank scratch (the observed banks, and four requests' masks
+        // on a faulty store) is borrowed from the first context and handed
+        // back at the end: a worker that keeps its contexts grows it once.
+        let mut banks = std::mem::take(&mut ctxs[0].weight_buf);
+        let mut lanes = std::mem::take(&mut ctxs[0].mask_buf);
+        self.memory.observe_range(self.base_addr, words, &mut banks);
+        self.memory.charge_reads(self.base_addr, words, batch.len());
+        if self.memory.read_fault_free() {
+            self.forward_shared(&banks, ctxs);
+        } else {
+            // Four mask lanes per block (spare lanes included); a lone
+            // request needs one. Never shrunk: a worker alternating
+            // tenants keeps the widest.
+            let needed = if batch.len() == 1 {
+                1
+            } else {
+                REQUESTS_PER_PASS
+            } * words;
+            if lanes.len() < needed {
+                lanes.resize(needed, 0);
+            }
+            for quad in ctxs.chunks_mut(REQUESTS_PER_PASS) {
+                self.forward_faulty(&banks, &mut lanes, quad);
+            }
+        }
+        ctxs[0].weight_buf = banks;
+        ctxs[0].mask_buf = lanes;
+        ctxs.iter_mut()
+            .map(|ctx| {
+                ctx.reads += words as u64;
+                argmax_lowest(&ctx.activations).expect("non-empty output layer")
+            })
+            .collect()
+    }
+
+    /// The spans of one request's reads relative to `base_addr`, in draw
+    /// order: per layer, row `n` then bias `n` for every neuron.
+    fn draw_spans(&self) -> impl Iterator<Item = (usize, usize)> + Clone + '_ {
+        self.layers().flat_map(|(bank, shape)| {
+            (0..shape.outputs).flat_map(move |n| {
+                [
+                    (
+                        bank + layout::weight_offset(shape.inputs, n, 0),
+                        shape.inputs,
+                    ),
+                    (
+                        bank + layout::bias_offset(shape.inputs, shape.outputs, n),
+                        1,
+                    ),
+                ]
+            })
+        })
+    }
+
+    /// Each layer's bank offset relative to `base_addr`, with its shape.
+    fn layers(&self) -> impl Iterator<Item = (usize, LayerShape)> + Clone + '_ {
+        self.shapes.iter().scan(0usize, |bank, &shape| {
+            let at = *bank;
+            *bank += shape.bank_words();
+            Some((at, shape))
+        })
+    }
+
+    /// The forward pass of every request over one shared, fault-free image
+    /// of the banks: four requests per pass over each weight row.
+    fn forward_shared(&self, banks: &[u8], ctxs: &mut [InferContext]) {
+        for (at, shape) in self.layers() {
+            let (weights, biases) = shape.split_bank(&banks[at..]);
             for ctx in ctxs.iter_mut() {
                 ctx.next.clear();
             }
-            for (neuron, &bias) in biases.iter().enumerate() {
-                let start = layout::weight_offset(shape.inputs, neuron, 0);
-                let row = &weights[start..start + shape.inputs];
+            for (row, &bias) in weights.chunks_exact(shape.inputs).zip(biases) {
                 let mut quads = ctxs.chunks_exact_mut(REQUESTS_PER_PASS);
                 for quad in &mut quads {
                     let acts: [&[u8]; REQUESTS_PER_PASS] =
@@ -430,20 +490,55 @@ impl NeuromorphicSystem {
                     ctx.next.push(self.npe.neuron(row, bias, &ctx.activations));
                 }
             }
-            bank_base += bank_len;
             for ctx in ctxs.iter_mut() {
                 std::mem::swap(&mut ctx.activations, &mut ctx.next);
             }
         }
-        ctxs[0].weight_buf = bank;
-        ctxs[0].mask_buf = bank_masks;
-        let reads = self.reads_per_inference() as u64;
-        ctxs.iter_mut()
-            .map(|ctx| {
-                ctx.reads += reads;
-                argmax_lowest(&ctx.activations).expect("non-empty output layer")
-            })
-            .collect()
+    }
+
+    /// The forward pass of up to four requests on a read-faulty store:
+    /// their masks drawn side by side into `lanes` (one `banks`-sized lane
+    /// per request), each lane turned into its request's faulted image,
+    /// then each request's MAC run on its own image.
+    fn forward_faulty(&self, banks: &[u8], lanes: &mut [u8], quad: &mut [InferContext]) {
+        let words = banks.len();
+        if let [ctx] = quad {
+            ctx.fault_bits += self.memory.sample_read_masks(
+                self.base_addr,
+                self.draw_spans(),
+                &mut ctx.rng,
+                &mut lanes[..words],
+            );
+        } else {
+            let last = quad.len() - 1;
+            let mut rngs: [StdRng; REQUESTS_PER_PASS] =
+                std::array::from_fn(|r| quad[r.min(last)].rng.clone());
+            let mut lane_iter = lanes.chunks_exact_mut(words);
+            let masks = std::array::from_fn(|_| lane_iter.next().expect("four lanes"));
+            let fault_bits = self.memory.sample_read_masks_x4(
+                self.base_addr,
+                self.draw_spans(),
+                &mut rngs,
+                masks,
+            );
+            for ((ctx, rng), bits) in quad.iter_mut().zip(rngs).zip(fault_bits) {
+                ctx.rng = rng;
+                ctx.fault_bits += bits;
+            }
+        }
+        for (ctx, lane) in quad.iter_mut().zip(lanes.chunks_exact_mut(words)) {
+            for (mask, &word) in lane.iter_mut().zip(banks) {
+                *mask ^= word;
+            }
+            for (at, shape) in self.layers() {
+                let (weights, biases) = shape.split_bank(&lane[at..]);
+                ctx.next.clear();
+                for (row, &bias) in weights.chunks_exact(shape.inputs).zip(biases) {
+                    ctx.next.push(self.npe.neuron(row, bias, &ctx.activations));
+                }
+                std::mem::swap(&mut ctx.activations, &mut ctx.next);
+            }
+        }
     }
 
     /// Classification accuracy over a dataset, running every sample through
@@ -784,15 +879,34 @@ mod tests {
         );
     }
 
-    /// A random-weight network on a read-fault-free (ideal) store; the
-    /// 100-input layer exercises full 16-byte MAC steps plus a ragged tail.
-    fn clean_random_system(shards: usize, overlays: bool) -> NeuromorphicSystem {
+    /// The stores the batch path is checked on: read-fault-free, every
+    /// bit exposed to read faults, and the three MSBs protected in 8T.
+    #[derive(Debug, Clone, Copy)]
+    enum Store {
+        Clean,
+        Uniform6T,
+        MsbProtected,
+    }
+
+    /// A random-weight network on a `store`-kind memory; the 100-input
+    /// layer exercises full 16-byte MAC steps plus a ragged tail.
+    fn random_system(shards: usize, store: Store, overlays: bool) -> NeuromorphicSystem {
         let q = QuantizedMlp::from_mlp(&Mlp::new(&[100, 23, 10], 7), Encoding::TwosComplement);
         let words = layout::bank_words(&q);
-        let map = SynapticMemoryMap::new(&words, &ProtectionPolicy::Uniform6T, SubArrayDims::PAPER);
-        let memory =
-            ShardedMemory::new(map, vec![WordFailureModel::ideal(); words.len()], 3, shards);
+        let (policy, read_6t) = match store {
+            Store::Clean => (ProtectionPolicy::Uniform6T, 0.0),
+            Store::Uniform6T => (ProtectionPolicy::Uniform6T, 0.04),
+            Store::MsbProtected => (ProtectionPolicy::MsbProtected { msb_8t: 3 }, 0.15),
+        };
+        let rates = BitErrorRates {
+            read_6t,
+            write_6t: 0.01,
+            read_8t: 0.0,
+            write_8t: 0.0,
+        };
+        let memory = sharded(&words, &policy, &rates, 3, shards);
         assert_eq!(memory.shard_count(), shards);
+        assert_eq!(memory.read_fault_free(), matches!(store, Store::Clean));
         let mut system = NeuromorphicSystem::new(&q, memory, Npe::new(q.format));
         if overlays {
             let memory = system.memory_mut();
@@ -807,19 +921,35 @@ mod tests {
                 let spare: Vec<u8> = (0..len).map(|i| (i * 29 + index) as u8).collect();
                 memory.repair_row(start, &spare);
             }
-            assert!(memory.read_fault_free());
         }
         system
     }
 
     #[test]
     fn batch_path_matches_scalar_requests_at_every_batch_size() {
-        for (shards, overlays) in [(1, false), (2, false), (4, false), (2, true), (4, true)] {
-            let batch_sys = clean_random_system(shards, overlays);
-            let scalar_sys = clean_random_system(shards, overlays);
-            let plain_sys = clean_random_system(shards, false);
+        let cases = [
+            (1, Store::Clean, false),
+            (2, Store::Clean, false),
+            (4, Store::Clean, false),
+            (2, Store::Clean, true),
+            (4, Store::Clean, true),
+            (1, Store::Uniform6T, false),
+            (2, Store::Uniform6T, true),
+            (4, Store::Uniform6T, true),
+            (1, Store::MsbProtected, true),
+            (2, Store::MsbProtected, false),
+            (4, Store::MsbProtected, true),
+        ];
+        for (shards, store, overlays) in cases {
+            let batch_sys = random_system(shards, store, overlays);
+            let scalar_sys = random_system(shards, store, overlays);
+            let plain_sys = random_system(shards, store, false);
             let mut overlay_changed_outputs = false;
+            let mut faults_seen = 0u64;
             let mut next_id = 0u64;
+            // One context set across all batch sizes, as a serving worker
+            // keeps it: the bank scratch is reused at every size.
+            let mut ctxs: Vec<InferContext> = Vec::new();
             for n in 1..=17usize {
                 let features: Vec<Vec<f32>> = (0..n)
                     .map(|r| {
@@ -831,14 +961,15 @@ mod tests {
                 let batch: Vec<&[f32]> = features.iter().map(Vec::as_slice).collect();
                 let ids: Vec<u64> = (next_id..next_id + n as u64).collect();
                 next_id += n as u64;
-                let mut ctxs: Vec<InferContext> = ids
-                    .iter()
-                    .map(|&id| batch_sys.make_context(5, id))
-                    .collect();
+                ctxs.resize_with(n, || batch_sys.make_context(5, 0));
+                for (ctx, &id) in ctxs.iter_mut().zip(&ids) {
+                    ctx.reset(5, id);
+                }
                 let predictions = batch_sys.classify_batch(&batch, &mut ctxs);
                 for (r, (&id, features)) in ids.iter().zip(&features).enumerate() {
-                    let at =
-                        format!("{shards} shards, overlays {overlays}, batch {n}, request {r}");
+                    let at = format!(
+                        "{store:?}, {shards} shards, overlays {overlays}, batch {n}, request {r}"
+                    );
                     let mut ctx = scalar_sys.make_context(5, id);
                     let outputs = scalar_sys.infer_request(features, &mut ctx).to_vec();
                     assert_eq!(ctxs[r].activations, outputs, "output codes at {at}");
@@ -849,7 +980,8 @@ mod tests {
                     );
                     assert_eq!(ctxs[r].reads(), ctx.reads(), "reads at {at}");
                     assert_eq!(ctxs[r].fault_bits(), ctx.fault_bits(), "faults at {at}");
-                    assert_eq!(ctxs[r].rng, ctx.rng, "RNG stream perturbed at {at}");
+                    assert_eq!(ctxs[r].rng, ctx.rng, "RNG end state at {at}");
+                    faults_seen += ctx.fault_bits();
                     let mut plain = plain_sys.make_context(5, id);
                     overlay_changed_outputs |=
                         plain_sys.infer_request(features, &mut plain) != outputs;
@@ -857,77 +989,85 @@ mod tests {
                 assert_eq!(
                     batch_sys.memory().counts().reads,
                     scalar_sys.memory().counts().reads,
-                    "billed reads at {shards} shards, overlays {overlays}, batch {n}"
+                    "billed reads at {store:?}, {shards} shards, overlays {overlays}, batch {n}"
                 );
             }
             assert_eq!(
                 batch_sys.memory().shard_counts(),
                 scalar_sys.memory().shard_counts(),
-                "shard traffic at {shards} shards, overlays {overlays}"
+                "shard traffic at {store:?}, {shards} shards, overlays {overlays}"
             );
             assert_eq!(
                 overlay_changed_outputs, overlays,
                 "the overlays must reach the outputs, and only with overlays"
+            );
+            assert_eq!(
+                faults_seen > 0,
+                !matches!(store, Store::Clean),
+                "read faults at {store:?}, {shards} shards, overlays {overlays}"
             );
         }
     }
 
     #[test]
     fn warm_batches_never_grow_the_scratch() {
-        let system = clean_random_system(2, true);
-        let features: Vec<Vec<f32>> = (0..7)
-            .map(|r| (0..100).map(|i| ((i + r) % 10) as f32 / 10.0).collect())
-            .collect();
-        let batch: Vec<&[f32]> = features.iter().map(Vec::as_slice).collect();
-        let mut ctxs: Vec<InferContext> = (0..7).map(|id| system.make_context(1, id)).collect();
-        let capacities = |ctxs: &[InferContext]| -> Vec<[usize; 4]> {
-            ctxs.iter()
-                .map(|c| {
-                    [
-                        c.weight_buf.capacity(),
-                        c.mask_buf.capacity(),
-                        c.activations.capacity(),
-                        c.next.capacity(),
-                    ]
-                })
-                .collect()
-        };
-        let before = capacities(&ctxs);
-        // The first context lends the shared fetch the largest bank.
-        assert!(before[0][0] >= 100 * 23 + 23 && before[0][1] >= 100 * 23 + 23);
-        for round in 0..3u64 {
-            for (id, ctx) in ctxs.iter_mut().enumerate() {
-                ctx.reset(1, round * 7 + id as u64);
-            }
+        for store in [Store::Clean, Store::Uniform6T, Store::MsbProtected] {
+            let system = random_system(2, store, true);
+            let features: Vec<Vec<f32>> = (0..7)
+                .map(|r| (0..100).map(|i| ((i + r) % 10) as f32 / 10.0).collect())
+                .collect();
+            let batch: Vec<&[f32]> = features.iter().map(Vec::as_slice).collect();
+            let mut ctxs: Vec<InferContext> = (0..7).map(|id| system.make_context(1, id)).collect();
+            let capacities = |ctxs: &[InferContext]| -> Vec<[usize; 4]> {
+                ctxs.iter()
+                    .map(|c| {
+                        [
+                            c.weight_buf.capacity(),
+                            c.mask_buf.capacity(),
+                            c.activations.capacity(),
+                            c.next.capacity(),
+                        ]
+                    })
+                    .collect()
+            };
+            let fresh = capacities(&ctxs);
             let _ = system.classify_batch(&batch, &mut ctxs);
+            let before = capacities(&ctxs);
+            // Only the first context lends the bank scratch: every other
+            // context keeps its row-sized make_context buffers.
             assert_eq!(
-                capacities(&ctxs),
-                before,
-                "batch round {round} grew the scratch"
+                before[1..],
+                fresh[1..],
+                "{store:?}: a context grew past its rows"
             );
+            let words = system.reads_per_inference();
+            assert!(
+                before[0][0] >= words,
+                "{store:?}: bank scratch {}",
+                before[0][0]
+            );
+            if !matches!(store, Store::Clean) {
+                assert!(
+                    before[0][1] >= 4 * words,
+                    "{store:?}: mask lanes {}",
+                    before[0][1]
+                );
+            }
+            for round in 0..3u64 {
+                for (id, ctx) in ctxs.iter_mut().enumerate() {
+                    ctx.reset(1, round * 7 + id as u64);
+                }
+                let _ = system.classify_batch(
+                    &batch[..7 - round as usize],
+                    &mut ctxs[..7 - round as usize],
+                );
+                assert_eq!(
+                    capacities(&ctxs),
+                    before,
+                    "{store:?}: batch round {round} grew the scratch"
+                );
+            }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "read-fault-free")]
-    fn batch_path_rejects_faulting_memories() {
-        let (q, test_set) = trained_small_net();
-        let words = layout::bank_words(&q);
-        let policy = ProtectionPolicy::Uniform6T;
-        let rates = BitErrorRates {
-            read_6t: 0.1,
-            write_6t: 0.0,
-            read_8t: 0.0,
-            write_8t: 0.0,
-        };
-        let system = NeuromorphicSystem::new(
-            &q,
-            sharded(&words, &policy, &rates, 1, 2),
-            Npe::new(q.format),
-        );
-        let batch: Vec<&[f32]> = vec![test_set.image(0)];
-        let mut ctxs = vec![system.make_context(0, 0)];
-        let _ = system.classify_batch(&batch, &mut ctxs);
     }
 
     /// Two tenants laid out back-to-back in one shared store, the way the

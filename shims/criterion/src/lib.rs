@@ -15,14 +15,22 @@
 //! analyses, plots, or saved baselines — the numbers are for coarse
 //! regression tracking in CHANGES.md and CI logs.
 //!
-//! Beyond the human-readable lines, every run appends its results to a
-//! machine-readable **`BENCH.json`** (benchmark name → mean ns/iter) so the
-//! performance trajectory can be tracked across PRs. The file merges across
-//! the workspace's separate bench binaries; set `BENCH_JSON_PATH` to
-//! relocate it (default: `BENCH.json` in the bench binary's working
-//! directory, i.e. the package root under `cargo bench`).
+//! Beyond the human-readable lines, a run with `BENCH_JSON_PATH` set
+//! merges its results into that machine-readable **`BENCH.json`** file
+//! (benchmark name → mean ns/iter), across the workspace's separate bench
+//! binaries, so the performance trajectory can be tracked. Without the
+//! variable a run writes no file and prints its results as JSON instead,
+//! so a local `cargo bench` never rewrites the committed ledger. To
+//! re-record the ledger, run from the workspace root (bench binaries run
+//! in their package directory, so give an absolute path):
+//!
+//! ```text
+//! BENCH_JSON_PATH="$PWD/crates/bench/BENCH.json" cargo bench -p paper_bench
+//! ```
 
 use std::collections::BTreeMap;
+use std::ffi::OsString;
+use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -159,23 +167,14 @@ pub fn read_bench_json(path: &str) -> BTreeMap<String, f64> {
     entries
 }
 
-/// Merges this run's results into the machine-readable `BENCH.json`
-/// (benchmark name → mean ns/iter). Entries from other bench binaries are
-/// preserved; re-run benchmarks are overwritten. The location is
-/// overridable via `BENCH_JSON_PATH`.
-pub fn write_bench_json() {
-    let recorded = {
-        let results = RESULTS.lock().unwrap_or_else(|e| e.into_inner());
-        results.clone()
-    };
-    if recorded.is_empty() {
-        return;
-    }
-    let path = std::env::var("BENCH_JSON_PATH").unwrap_or_else(|_| "BENCH.json".to_string());
-    let mut entries = read_bench_json(&path);
-    for (name, ns) in recorded {
-        entries.insert(name, ns);
-    }
+/// Where a run's results are merged: the `BENCH_JSON_PATH` file when the
+/// variable holds a non-empty path, nowhere otherwise.
+fn bench_json_path(var: Option<OsString>) -> Option<PathBuf> {
+    var.filter(|path| !path.is_empty()).map(PathBuf::from)
+}
+
+/// `entries` in the flat `BENCH.json` format [`read_bench_json`] parses.
+fn render_bench_json(entries: &BTreeMap<String, f64>) -> String {
     let mut out = String::from("{\n");
     let last = entries.len().saturating_sub(1);
     for (i, (name, ns)) in entries.iter().enumerate() {
@@ -187,7 +186,30 @@ pub fn write_bench_json() {
         ));
     }
     out.push_str("}\n");
-    if let Err(e) = std::fs::write(&path, out) {
+    out
+}
+
+/// Merges this run's results into the `BENCH.json` file named by
+/// `BENCH_JSON_PATH` (entries from other bench binaries are preserved;
+/// re-run benchmarks are overwritten). With the variable unset, prints
+/// the run's results in the same format and writes nothing.
+pub fn write_bench_json() {
+    let recorded: BTreeMap<String, f64> = {
+        let results = RESULTS.lock().unwrap_or_else(|e| e.into_inner());
+        results.iter().cloned().collect()
+    };
+    if recorded.is_empty() {
+        return;
+    }
+    let Some(path) = bench_json_path(std::env::var_os("BENCH_JSON_PATH")) else {
+        println!("BENCH_JSON_PATH unset; results not recorded:");
+        print!("{}", render_bench_json(&recorded));
+        return;
+    };
+    let path = path.display().to_string();
+    let mut entries = read_bench_json(&path);
+    entries.extend(recorded);
+    if let Err(e) = std::fs::write(&path, render_bench_json(&entries)) {
         eprintln!("warning: could not write {path}: {e}");
     } else {
         println!("bench results written to {path}");
@@ -321,7 +343,7 @@ macro_rules! criterion_group {
 }
 
 /// Declares the bench `main`, mirroring `criterion_main!`; additionally
-/// merges the run's results into `BENCH.json` (see [`write_bench_json`]).
+/// records the run's results (see [`write_bench_json`]).
 #[macro_export]
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
@@ -355,6 +377,28 @@ mod tests {
         std::fs::write(path, out).expect("write temp file");
         let parsed = read_bench_json(path);
         std::fs::remove_file(path).ok();
+        assert_eq!(parsed, entries);
+    }
+
+    #[test]
+    fn results_are_recorded_only_where_bench_json_path_points() {
+        assert_eq!(bench_json_path(None), None);
+        assert_eq!(bench_json_path(Some(OsString::new())), None);
+        assert_eq!(
+            bench_json_path(Some(OsString::from("/tmp/BENCH.json"))),
+            Some(PathBuf::from("/tmp/BENCH.json"))
+        );
+    }
+
+    #[test]
+    fn rendered_results_parse_back() {
+        let path = std::env::temp_dir().join("criterion_shim_render_test.json");
+        let mut entries = BTreeMap::new();
+        entries.insert("chaos/scrub_sweep".to_string(), 26_434.7);
+        entries.insert("mosfet_drain_current".to_string(), 60.8);
+        std::fs::write(&path, render_bench_json(&entries)).expect("write temp file");
+        let parsed = read_bench_json(path.to_str().expect("utf-8 temp path"));
+        std::fs::remove_file(&path).ok();
         assert_eq!(parsed, entries);
     }
 

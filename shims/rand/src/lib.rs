@@ -6,7 +6,10 @@
 //! actually uses: [`rngs::StdRng`] (a seedable xoshiro256++ generator),
 //! the [`Rng`] extension methods `gen`, `gen_range`, `gen_bool`, the
 //! [`SeedableRng::seed_from_u64`] constructor, and [`seq::SliceRandom`]'s
-//! Fisher-Yates `shuffle`.
+//! Fisher-Yates `shuffle`. Beyond that subset, `StdRng` has a raw-state
+//! accessor pair ([`rngs::StdRng::state`], [`rngs::StdRng::from_state`])
+//! for SIMD samplers that run several streams as register lanes; it is
+//! not a `rand` API.
 //!
 //! The generator is deterministic for a given seed, which is all the
 //! Monte Carlo and fault-injection layers require; it is NOT a
@@ -190,6 +193,27 @@ pub mod rngs {
         z ^ (z >> 31)
     }
 
+    impl StdRng {
+        /// The raw xoshiro256++ state words `[s0, s1, s2, s3]`.
+        ///
+        /// Not part of the `rand` API (its `StdRng` is a different
+        /// generator with no such accessor): it exists so a SIMD sampler
+        /// can run several generators as the lanes of one register and
+        /// hand each state back with [`from_state`](Self::from_state).
+        /// `StdRng::from_state(rng.state())` continues `rng`'s stream
+        /// draw for draw.
+        pub fn state(&self) -> [u64; 4] {
+            self.s
+        }
+
+        /// The generator whose raw state is `s` — the inverse of
+        /// [`state`](Self::state). The all-zero state is a fixed point of
+        /// xoshiro256++ and never arises from seeding.
+        pub fn from_state(s: [u64; 4]) -> Self {
+            Self { s }
+        }
+    }
+
     impl SeedableRng for StdRng {
         fn seed_from_u64(state: u64) -> Self {
             let mut sm = state;
@@ -260,6 +284,17 @@ mod tests {
     fn deterministic_for_seed() {
         let mut a = StdRng::seed_from_u64(42);
         let mut b = StdRng::seed_from_u64(42);
+        for _ in 0..100 {
+            assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+        }
+    }
+
+    #[test]
+    fn raw_state_round_trips_mid_stream() {
+        let mut a = StdRng::seed_from_u64(42);
+        let _ = a.gen::<u64>();
+        let mut b = StdRng::from_state(a.state());
+        assert_eq!(a, b);
         for _ in 0..100 {
             assert_eq!(a.gen::<u64>(), b.gen::<u64>());
         }
