@@ -290,6 +290,7 @@ fn main() {
         .put("server_digest", format!("{:016x}", report.digest()))
         .put("server_served", report.served())
         .put("server_shed", report.shed())
+        .put("mean_batch", format!("{:.3}", report.mean_batch()))
         .put("bad_frames", report.bad_frames)
         .put("pings", report.pings)
         .put("conns_accepted", report.conns_accepted)
@@ -306,6 +307,10 @@ fn main() {
         record
             .put(format!("tenant{i}_name"), &tenant.name)
             .put(format!("tenant{i}_served"), tenant.served)
+            .put(
+                format!("tenant{i}_mean_batch"),
+                format!("{:.3}", tenant.mean_batch()),
+            )
             .put(format!("tenant{i}_shed"), tenant.shed)
             .put(format!("tenant{i}_drowsy_served"), tenant.drowsy_served)
             .put(format!("tenant{i}_degrade_events"), tenant.degrade_events)

@@ -5,13 +5,13 @@
 //!
 //! ```text
 //! clients ──TCP──▶ IO thread ──push──▶ BatchQueue ──pop_batch──▶ worker 0..W
-//!                  (accept, frame      (sram_serve   (adaptive        │ split into
-//!                   decode, shed/       scheduler)    micro-batch)    │ same-tenant runs
-//!                   degrade, write                                    ▼
-//!                   buffers, timeouts)   classify_micro_batch(tenant system, seed)
+//!                  (accept, frame      (sram_serve   (one tenant,     │
+//!                   decode, shed/       scheduler,    whole sampler   │
+//!                   degrade, write      one FIFO      passes)         ▼
+//!                   buffers, timeouts)  per tenant)  classify_micro_batch(tenant system, seed)
 //!                  ▲                                                  │
 //!                  ├───────────── results channel (mpsc) ◀────────────┤
-//!                  └───────────── wake socket (1 byte) ◀──────────────┘
+//!                  └───────────── wake socket (1 byte per batch) ◀────┘
 //! ```
 //!
 //! One IO thread owns every socket: it accepts, reads into
@@ -19,13 +19,15 @@
 //! worker results into per-connection write buffers, and enforces the
 //! timeouts. Workers never touch a client socket. They run on
 //! `sram_serve`'s scheduler, the one the closed-batch `InferenceServer`
-//! uses: each pops an adaptive micro-batch off the shared [`BatchQueue`],
-//! splits it into runs of consecutive same-tenant jobs, and classifies
-//! each run with [`classify_micro_batch`] on that tenant's system and
-//! seed stream. A run shares one bank fetch per layer on any store, and
-//! on a read-faulty one its requests' fault streams are sampled four at
-//! a time. Per request, a worker sends the result back over an `mpsc`
-//! channel and writes one byte to a wake socket.
+//! uses: the IO thread pushes each admitted job onto its tenant's FIFO in
+//! the shared [`BatchQueue`], and each worker pops one tenant's
+//! micro-batch, from the tenant whose head job was admitted first, sized
+//! to whole four-request sampler passes once that tenant's backlog holds
+//! one. The worker classifies the batch with one [`classify_micro_batch`]
+//! call on that tenant's system and seed stream: one bank fetch per layer
+//! on any store, and on a read-faulty one the requests' fault streams are
+//! sampled four at a time. It sends each request's result back over an
+//! `mpsc` channel, then writes one byte to a wake socket per batch.
 //!
 //! When a pass over the sockets moves nothing, the IO thread blocks in
 //! `poll(2)` (Linux) on the wake socket, the listener, every connection
@@ -138,6 +140,9 @@ pub struct TenantReport {
     pub name: String,
     /// Classify requests served.
     pub served: u64,
+    /// Micro-batches the served requests ran in (each holds one tenant's
+    /// jobs).
+    pub batches: u64,
     /// Classify requests shed with `Overloaded`.
     pub shed: u64,
     /// Served requests admitted while the tenant was degraded to its
@@ -164,6 +169,11 @@ pub struct TenantReport {
 }
 
 impl TenantReport {
+    /// Served requests per micro-batch; 0 before any is served.
+    pub fn mean_batch(&self) -> f64 {
+        per_batch(self.served, self.batches)
+    }
+
     /// Injected fault bits per bit read.
     pub fn observed_bit_error_rate(&self) -> f64 {
         let bits = self.words_read.saturating_mul(WORD_BITS as u64);
@@ -198,6 +208,12 @@ impl NetReport {
         self.tenants.iter().map(|t| t.served).sum()
     }
 
+    /// Served requests per micro-batch, all tenants; 0 before any is
+    /// served.
+    pub fn mean_batch(&self) -> f64 {
+        per_batch(self.served(), self.tenants.iter().map(|t| t.batches).sum())
+    }
+
     /// Classify requests shed, all tenants.
     pub fn shed(&self) -> u64 {
         self.tenants.iter().map(|t| t.shed).sum()
@@ -209,6 +225,14 @@ impl NetReport {
             .iter()
             .fold(0u64, |acc, t| acc.wrapping_add(t.digest))
     }
+}
+
+/// `served / batches`, or 0 when no batch ran.
+fn per_batch(served: u64, batches: u64) -> f64 {
+    if batches == 0 {
+        return 0.0;
+    }
+    served as f64 / batches as f64
 }
 
 /// A running server; dropping it without [`stop`](Self::stop) detaches
@@ -302,6 +326,8 @@ struct Done {
     queue_ns: u64,
     service_ns: u64,
     drowsy: bool,
+    /// First job of its micro-batch: the batch is counted once.
+    batch_head: bool,
 }
 
 /// One connection's state, owned by the IO thread.
@@ -647,6 +673,7 @@ fn run_server(
                 state.report.fault_bits += done.fault_bits;
                 state.report.words_read += done.words_read;
                 state.report.energy_j += registry.spec(done.tenant).energy_per_inference_j;
+                state.report.batches += u64::from(done.batch_head);
                 if done.drowsy {
                     state.report.drowsy_served += 1;
                 }
@@ -806,20 +833,24 @@ fn handle_request(
     }
     *inflight += 1;
     conn.inflight += 1;
-    queue.push([Job {
-        slot,
-        gen: conn.gen,
+    queue.push(
         tenant,
-        request_id: req.request_id,
-        features,
-        admitted: Instant::now(),
-        drowsy: state.drowsy,
-    }]);
+        [Job {
+            slot,
+            gen: conn.gen,
+            tenant,
+            request_id: req.request_id,
+            features,
+            admitted: Instant::now(),
+            drowsy: state.drowsy,
+        }],
+    );
 }
 
-/// Pops micro-batches and classifies each run of consecutive same-tenant
-/// jobs on that tenant's system, reporting every job as it finishes. One
-/// scratch context set serves every tenant: each request re-arms it.
+/// Pops one-tenant micro-batches and classifies each on its tenant's
+/// system, sending every job's result and then waking the IO thread once
+/// per batch. One scratch context set serves every tenant: each request
+/// re-arms it.
 fn worker_loop(
     registry: &ModelRegistry,
     queue: &BatchQueue<Job>,
@@ -829,9 +860,15 @@ fn worker_loop(
     let mut ctxs = Vec::new();
     let mut batch = Vec::new();
     while queue.pop_batch(&mut batch) {
-        for run in batch.chunk_by(|a, b| a.tenant == b.tenant) {
-            let (system, seed) = registry.tenant(run[0].tenant);
-            classify_micro_batch(system, seed, run, Job::request, &mut ctxs, |job, done| {
+        let (system, seed) = registry.tenant(batch[0].tenant);
+        let mut batch_head = true;
+        classify_micro_batch(
+            system,
+            seed,
+            &batch,
+            Job::request,
+            &mut ctxs,
+            |job, done| {
                 // The receiver outlives the worker scope: sends cannot fail.
                 let _ = done_tx.send(Done {
                     slot: job.slot,
@@ -844,9 +881,10 @@ fn worker_loop(
                     queue_ns: done.started.duration_since(job.admitted).as_nanos() as u64,
                     service_ns: (done.finished - done.started).as_nanos() as u64,
                     drowsy: job.drowsy,
+                    batch_head: std::mem::take(&mut batch_head),
                 });
-                waker.wake();
-            });
-        }
+            },
+        );
+        waker.wake();
     }
 }

@@ -13,7 +13,7 @@ use sram_net::proto::{
     RequestBody, Status, MAX_FEATURES,
 };
 use sram_net::registry::{ModelRegistry, TenantSpec};
-use sram_net::server::{self, NetServerOptions, RunningServer};
+use sram_net::server::{self, NetReport, NetServerOptions, RunningServer};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -471,10 +471,15 @@ fn digests_are_identical_across_connection_and_worker_counts() {
     assert_eq!(c.1, 0, "a read-fault-free store injects no fault bits");
 }
 
-/// A closed-loop burst of `requests` on `registry` at one worker; returns
-/// the client digest, the server digest, and the sequential
-/// `ModelRegistry::classify` digest with its total fault bits.
-fn burst_against_sequential(registry: &Arc<ModelRegistry>, requests: u64) -> [u64; 4] {
+/// A closed-loop burst of `requests` over `connections` sockets on
+/// `registry` at one worker; returns the server's report and the client
+/// digest, the server digest, and the sequential `ModelRegistry::classify`
+/// digest with its total fault bits.
+fn burst_against_sequential(
+    registry: &Arc<ModelRegistry>,
+    requests: u64,
+    connections: usize,
+) -> (NetReport, [u64; 4]) {
     let server = server::spawn(
         Arc::clone(registry),
         NetServerOptions {
@@ -490,7 +495,7 @@ fn burst_against_sequential(registry: &Arc<ModelRegistry>, requests: u64) -> [u6
         &LoadOptions {
             rate: 0.0,
             requests: requests as usize,
-            connections: 2,
+            connections,
             seed: 5,
             drain_timeout: Duration::from_secs(20),
         },
@@ -513,21 +518,35 @@ fn burst_against_sequential(registry: &Arc<ModelRegistry>, requests: u64) -> [u6
         acc.wrapping_add(response_mix(s.tenant, id, prediction as u16, bits as u32))
     });
     assert_eq!(load.fault_bits, fault_bits);
-    [load.digest, report.digest(), expected, fault_bits]
+    let digests = [load.digest, report.digest(), expected, fault_bits];
+    (report, digests)
 }
 
 #[test]
 fn burst_on_a_fault_free_store_matches_sequential_classify() {
-    let [client, server, expected, fault_bits] =
-        burst_against_sequential(&fault_free_registry(77), 128);
+    let (_, [client, server, expected, fault_bits]) =
+        burst_against_sequential(&fault_free_registry(77), 128, 2);
     assert_eq!(fault_bits, 0);
     assert_eq!(client, expected);
     assert_eq!(server, expected);
 }
 
+/// One connection carries both tenants' requests alternately, yet each
+/// pop holds one tenant's jobs: a read-faulty tenant's requests share
+/// sampler passes instead of running one per batch.
 #[test]
-fn burst_on_a_read_faulty_store_matches_sequential_classify() {
-    let [client, server, expected, fault_bits] = burst_against_sequential(&tiny_registry(77), 128);
+fn burst_batches_each_read_faulty_tenant_and_matches_sequential_classify() {
+    let (report, [client, server, expected, fault_bits]) =
+        burst_against_sequential(&tiny_registry(77), 128, 1);
+    for tenant in &report.tenants {
+        assert!(
+            tenant.mean_batch() >= 2.0,
+            "{}: {} served in {} batches",
+            tenant.name,
+            tenant.served,
+            tenant.batches
+        );
+    }
     assert!(fault_bits > 0, "the tiny tenants fault on read");
     assert_eq!(client, expected);
     assert_eq!(server, expected);

@@ -7,11 +7,13 @@
 //!   at t=0)      then closed)  micro-batch)                   (one bank fetch)
 //! ```
 //!
-//! A pop admits `queue_len / (2·workers)` requests, clamped to
-//! `[1, max_batch]`: a deep queue amortizes lock traffic, a draining one
-//! falls back to single requests and keeps the stragglers balanced. A
-//! batch shares one bank fetch per layer on any store; on a read-faulty
-//! one its requests' fault streams are sampled four at a time.
+//! Every request is queued as one tenant. A pop admits
+//! `queue_len / (2·workers)` requests, clamped to `[1, max_batch]` and,
+//! once the queue holds four, rounded down to whole four-request passes
+//! (at least one): a deep queue amortizes lock traffic, a draining one
+//! shrinks to single passes and keeps the stragglers balanced. A batch
+//! shares one bank fetch per layer on any store; on a read-faulty one its
+//! requests' fault streams are sampled four at a time, with no lane idle.
 //!
 //! # Determinism
 //!
@@ -319,7 +321,7 @@ impl InferenceServer {
         let n = requests.len();
         let workers = sram_exec::resolve_workers(options.workers).min(n.max(1));
         let queue = BatchQueue::new(workers, options.max_batch);
-        queue.push((0..).zip(requests.iter().map(AsRef::as_ref)));
+        queue.push(0, (0..).zip(requests.iter().map(AsRef::as_ref)));
         queue.close();
         let shard_reads_before = self.shard_reads();
         let start = Instant::now();

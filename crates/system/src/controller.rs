@@ -45,7 +45,7 @@ fn argmax_lowest(codes: &[u8]) -> Option<usize> {
 /// Requests per pass of the batch datapath: per pass over a weight row on
 /// a read-fault-free store, per pass of the four-lane fault sampler on a
 /// read-faulty one.
-const REQUESTS_PER_PASS: usize = 4;
+pub const REQUESTS_PER_PASS: usize = 4;
 
 /// Shape of one layer as seen by the controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -14,7 +14,8 @@
 //! * `net-report`: `net_bench` at 2 and 8 connections plus a burst; gates
 //!   identical digests, no shed/errors/timeouts, client ≡ server digest,
 //!   sojourn p99 within `--slo-ms` ([`NET_SLO_MS`]), and a burst that sheds
-//!   without errors.
+//!   without errors and batches at least [`NET_MIN_BURST_BATCH`] requests
+//!   per micro-batch.
 //! * `gen-report`: `gen_report` at 1 and 4 threads; gates identical
 //!   digests, every spec built, the paper fixture layout, a fully rejected
 //!   corpus, [`GEN_RANDOM_SPECS`] clean random specs and zero failures.
@@ -86,6 +87,12 @@ const SERVE_SLOWDOWN_FACTOR: f64 = 1.5;
 /// it exists to catch the server falling off a latency cliff (seconds,
 /// not milliseconds), and can be tightened per-run with `--slo-ms`.
 const NET_SLO_MS: f64 = 250.0;
+
+/// `net-report --gate`'s floor on the burst run's served requests per
+/// micro-batch. A burst leaves a deep backlog, and one-tenant pops of a
+/// deep backlog serve whole four-request sampler passes; a mean below 2
+/// means the workers ran the burst about one request at a time.
+const NET_MIN_BURST_BATCH: f64 = 2.0;
 
 /// `chaos-report --gate` allows the protected run at most this absolute
 /// accuracy drop below the healthy baseline — and requires the
@@ -808,6 +815,7 @@ fn net_plan(o: &Opts) -> Plan {
             Column("sojourn p99", "sojourn_p99_ns", Show::Ns),
             Column("service p99", "service_p99_ns", Show::Ns),
             Column("residual p50", "residual_p50_ns", Show::Ns),
+            Column("mean batch", "mean_batch", Show::Num(1.0, 2, "")),
             Column("digest", "digest", Show::Raw),
         ],
         notes: vec![note(
@@ -851,6 +859,12 @@ fn net_plan(o: &Opts) -> Plan {
             gate(
                 "burst run has no errors",
                 each(2..3, |kv| Some(num(kv, "errors")? == 0.0)),
+            ),
+            gate(
+                format!("burst run serves at least {NET_MIN_BURST_BATCH} requests per micro-batch"),
+                each(2..3, |kv| {
+                    Some(num(kv, "mean_batch")? >= NET_MIN_BURST_BATCH)
+                }),
             ),
         ],
     }

@@ -218,7 +218,7 @@ fn net_records() -> Vec<Kv> {
          digest=89028b9ef86c9c79\nserver_digest=89028b9ef86c9c79\nmac_kernel=avx2\n");
     let burst = kv("sent=256\nok=95\nshed=161\nerrors=0\ntimed_out=false\n\
          sojourn_p99_ns=19922944\ndigest=f5c315b11c2808df\nserver_digest=f5c315b11c2808df\n\
-         degrade_events=2\ndrowsy_served=63\n");
+         degrade_events=2\ndrowsy_served=63\nmean_batch=6.120\n");
     vec![low.clone(), low, burst]
 }
 
@@ -256,6 +256,10 @@ fn net_gates_fail_on_divergence_shed_errors_timeouts_lost_responses_and_quiet_bu
             (&["burst run sheds"], |r| del(r, 2, "shed")),
             (&["burst run has no errors"], |r| set(r, 2, "errors", "3")),
             (&["burst run has no errors"], |r| del(r, 2, "errors")),
+            (&["requests per micro-batch"], |r| {
+                set(r, 2, "mean_batch", "1.000")
+            }),
+            (&["requests per micro-batch"], |r| del(r, 2, "mean_batch")),
         ],
     );
 }
@@ -349,6 +353,7 @@ fn gen_random_floor_follows_the_random_flag() {
 fn gate_constants_hold_their_values() {
     assert_eq!(SERVE_SLOWDOWN_FACTOR, 1.5);
     assert_eq!(NET_SLO_MS, 250.0);
+    assert_eq!(NET_MIN_BURST_BATCH, 2.0);
     assert_eq!(CHAOS_ACCURACY_DROP, 0.02);
     assert_eq!(CHAOS_P99_FACTOR, 2.0);
     assert_eq!(GEN_RANDOM_SPECS, 8);
