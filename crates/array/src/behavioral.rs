@@ -6,10 +6,10 @@
 //! configured voltage. It offers two injection modes, which the
 //! `per_access_vs_snapshot` ablation test compares:
 //!
-//! * **Per-access** ([`ShardedMemory::read`] and its shared and row
-//!   variants): every read samples fresh read-fault bits — the physically
-//!   faithful model, affordable for small networks and used to validate
-//!   the snapshot shortcut.
+//! * **Per-access** ([`ShardedMemory::sample_read_masks`] and its
+//!   four-reader form, which the controller's batch datapath draws every
+//!   request's reads through): every read samples fresh read-fault bits —
+//!   the physically faithful model, and the one serving runs.
 //! * **Snapshot** ([`ShardedMemory::corrupt_snapshot`]): one corruption
 //!   pass over the stored image, the way the paper's functional simulator
 //!   perturbs the weight matrix before an evaluation run.
@@ -28,11 +28,9 @@
 //!   single stored bit;
 //! * **snapshot corruption** is keyed by `(snapshot seed, bank)` — one
 //!   independent stream per bank, so banks can corrupt in parallel;
-//! * **owned reads** ([`ShardedMemory::read`]) are keyed by
-//!   `(base seed, read counter)` — fresh per-access fault bits that depend
-//!   only on call order;
-//! * **shared reads** ([`ShardedMemory::read_shared`]) draw from a
-//!   caller-provided RNG — the serving layer owns the randomness.
+//! * **request reads** ([`ShardedMemory::sample_read_masks`]) draw from a
+//!   caller-provided RNG — the serving layer owns the randomness, one
+//!   stream per request.
 //!
 //! This contract is what makes the bank-parallel [`ShardedMemory`]
 //! bit-identical at any shard count: no stream ever crosses an
@@ -44,8 +42,7 @@
 //! samplers of `fault_inject::injector` alone.
 //!
 //! [`ShardedMemory`]: crate::sharded::ShardedMemory
-//! [`ShardedMemory::read`]: crate::sharded::ShardedMemory::read
-//! [`ShardedMemory::read_shared`]: crate::sharded::ShardedMemory::read_shared
+//! [`ShardedMemory::sample_read_masks`]: crate::sharded::ShardedMemory::sample_read_masks
 //! [`ShardedMemory::corrupt_snapshot`]: crate::sharded::ShardedMemory::corrupt_snapshot
 
 use crate::organization::WordAddress;
@@ -58,8 +55,8 @@ use sram_exec::derive_seed;
 /// Seed-stream derivation shared by the store, the BIST march, and the
 /// test oracle.
 ///
-/// Domain constants keep the write, owned-read, and bulk-read streams of
-/// one base seed disjoint; each stream is then expanded per logical
+/// Domain constants keep the write, bulk-read, BIST and degradation
+/// streams of one base seed disjoint; each stream is then expanded per logical
 /// coordinate with [`sram_exec::derive_seed`].
 pub mod streams {
     use fault_inject::model::{WordFailureModel, WORD_BITS};
@@ -69,8 +66,6 @@ pub mod streams {
 
     /// Domain tag of the per-word write-fault streams.
     const DOMAIN_WRITE: u64 = 0x0057_5249_5445_u64; // "WRITE"
-    /// Domain tag of the owned-read (call-order) stream.
-    const DOMAIN_READ: u64 = 0x5245_4144u64; // "READ"
     /// Domain tag of the per-bank bulk-read streams.
     const DOMAIN_BULK: u64 = 0x4255_4C4Bu64; // "BULK"
     /// Domain tag of the per-bank BIST read streams.
@@ -86,12 +81,6 @@ pub mod streams {
             derive_seed(derive_seed(base_seed, DOMAIN_WRITE), bank as u64),
             offset as u64,
         )
-    }
-
-    /// Seed of the `n`-th owned (single-owner) read of a memory rooted at
-    /// `base_seed`.
-    pub fn owned_read_seed(base_seed: u64, read_number: u64) -> u64 {
-        derive_seed(derive_seed(base_seed, DOMAIN_READ), read_number)
     }
 
     /// Seed of `bank`'s snapshot-corruption stream for one
@@ -448,16 +437,6 @@ impl BankModels {
         streams::write_mask(&self.models[addr.bank], base_seed, addr.bank, addr.offset)
     }
 
-    /// The read-fault mask of an owned read numbered `read_number` landing
-    /// on `bank`.
-    pub(crate) fn owned_read_mask(&self, base_seed: u64, read_number: u64, bank: usize) -> u8 {
-        if !self.read_faulty[bank] {
-            return 0;
-        }
-        let mut rng = StdRng::seed_from_u64(streams::owned_read_seed(base_seed, read_number));
-        sample_read_mask(&self.models[bank], &mut rng)
-    }
-
     /// One bank's snapshot-corruption pass: flips `(offset, bit)` pairs in
     /// `bank_words` words with the bank's per-bit read probabilities, on
     /// the bank's own `(snapshot seed, bank)` stream.
@@ -632,14 +611,20 @@ mod tests {
         ShardedMemory::new(map, vec![model], 7, SHARDS)
     }
 
+    /// Every word of `m` read once, in address order, on a fresh RNG.
+    fn read_all(m: &ShardedMemory, seed: u64) -> Vec<u8> {
+        let (mut words, mut masks) = (Vec::new(), Vec::new());
+        let mut rng = StdRng::seed_from_u64(seed);
+        m.read_row_shared(0, m.len(), &mut rng, &mut words, &mut masks);
+        words
+    }
+
     #[test]
     fn ideal_memory_round_trips() {
         let mut m = ideal_memory(128);
         let data: Vec<u8> = (0..128).map(|i| (i * 7) as u8).collect();
         m.load(&data);
-        for (i, &b) in data.iter().enumerate() {
-            assert_eq!(m.read(i), b);
-        }
+        assert_eq!(read_all(&m, 0), data);
         assert_eq!(m.counts().reads, 128);
         assert_eq!(m.counts().writes, 128);
     }
@@ -649,14 +634,14 @@ mod tests {
         let mut m = faulty_memory(2000, 0.2, 0.0, 0);
         m.load(&vec![0u8; 2000]);
         // Stored content never changes even though reads glitch.
-        let mut saw_fault = false;
-        for i in 0..2000 {
-            if m.read(i) != 0 {
-                saw_fault = true;
-            }
-            assert_eq!(m.read_raw(i), 0, "storage must stay clean");
+        for seed in 0..2 {
+            let seen = read_all(&m, seed);
+            assert!(
+                seen.iter().any(|&w| w != 0),
+                "20% read fault rate must show up"
+            );
+            assert_eq!(m.raw_image(), vec![0u8; 2000], "storage must stay clean");
         }
-        assert!(saw_fault, "20% read fault rate must show up");
     }
 
     #[test]
@@ -666,7 +651,7 @@ mod tests {
         let corrupted = (0..3000).filter(|&i| m.read_raw(i) != 0).count();
         assert!(corrupted > 0, "30% write fault rate must corrupt storage");
         // Reads are exact now (no read faults configured).
-        let seen = (0..3000).filter(|&i| m.read(i) != 0).count();
+        let seen = read_all(&m, 0).iter().filter(|&&w| w != 0).count();
         assert_eq!(seen, corrupted);
     }
 
@@ -692,8 +677,10 @@ mod tests {
     fn protected_msbs_survive() {
         let mut m = faulty_memory(4000, 0.3, 0.3, 3);
         m.load(&vec![0u8; 4000]);
-        for i in 0..4000 {
-            assert_eq!(m.read(i) & 0xE0, 0, "protected MSBs must never flip");
+        let seen = read_all(&m, 0);
+        assert!(seen.iter().any(|&w| w != 0), "the 6T LSBs must fault");
+        for (i, w) in seen.into_iter().enumerate() {
+            assert_eq!(w & 0xE0, 0, "protected MSBs of word {i} must never flip");
         }
     }
 
@@ -727,37 +714,40 @@ mod tests {
 
     #[test]
     fn shared_reads_sample_exactly_the_callers_stream() {
-        // `read_shared` with an external RNG must sample exactly the fault
-        // stream the model walk would draw from a twin RNG: same model
-        // walk, same draws.
-        let mut owned = faulty_memory(512, 0.15, 0.0, 2);
-        owned.load(&(0..=255).cycle().take(512).collect::<Vec<u8>>());
-        let shared = owned.clone();
+        // The batch path's mask sampler must draw exactly the masks the
+        // scalar `sample_read_mask` walk of each word's bank model draws
+        // from a twin RNG, bill nothing, and never touch storage.
+        let mut m = faulty_memory(512, 0.15, 0.0, 2);
+        m.load(&(0..=255).cycle().take(512).collect::<Vec<u8>>());
+        let stored = m.raw_image();
         let mut rng = StdRng::seed_from_u64(1234);
         let mut rng_twin = StdRng::seed_from_u64(1234);
-        for i in 0..512 {
-            let (value, mask) = shared.read_shared(i, &mut rng);
-            let expected_mask =
-                sample_read_mask(&shared.models()[shared.map().locate(i).bank], &mut rng_twin);
-            assert_eq!(mask, expected_mask);
-            assert_eq!(value, shared.read_raw(i) ^ mask);
-            assert_eq!(value & 0xC0, shared.read_raw(i) & 0xC0, "protected MSBs");
+        let mut masks = vec![0u8; 512];
+        let fault_bits = m.sample_read_masks(0, [(0, 512)], &mut rng, &mut masks);
+        let mut expect_bits = 0u64;
+        for (i, &mask) in masks.iter().enumerate() {
+            let expected = sample_read_mask(&m.models()[m.map().locate(i).bank], &mut rng_twin);
+            assert_eq!(mask, expected, "mask {i}");
+            assert_eq!(mask & 0xC0, 0, "protected MSBs");
+            expect_bits += u64::from(expected.count_ones());
         }
-        assert_eq!(shared.counts().reads, 512);
-        // The shared path never mutates storage.
-        for i in 0..512 {
-            assert_eq!(shared.read_raw(i), owned.read_raw(i));
-        }
+        assert_eq!(fault_bits, expect_bits);
+        assert!(fault_bits > 0, "15% read faults must show up");
+        assert_eq!(rng, rng_twin, "RNG streams must stay in lockstep");
+        assert_eq!(m.counts().reads, 0, "sampling bills no read");
+        assert_eq!(m.raw_image(), stored, "sampling never mutates storage");
     }
 
     #[test]
     fn row_reads_replay_the_scalar_shared_stream() {
         // A row read must be byte-for-byte the stream of `len` scalar
-        // `read_shared` calls: same values, same masks, same counter
+        // reads of the naive oracle: same values, same masks, same counter
         // advance, same RNG state afterwards.
         let mut m = faulty_memory(512, 0.15, 0.05, 2);
-        m.load(&(0..=255).cycle().take(512).collect::<Vec<u8>>());
-        let scalar = m.clone();
+        let data: Vec<u8> = (0..=255).cycle().take(512).collect();
+        m.load(&data);
+        let mut scalar = crate::oracle::Oracle::new(m.map().clone(), m.models().to_vec(), 7);
+        scalar.load(&data);
         let mut row_rng = StdRng::seed_from_u64(0xD00D);
         let mut scalar_rng = StdRng::seed_from_u64(0xD00D);
         let mut words = Vec::new();
@@ -776,7 +766,7 @@ mod tests {
             assert_eq!(masks.len(), len);
         }
         assert_eq!(row_rng, scalar_rng, "RNG streams must stay in lockstep");
-        assert_eq!(m.counts().reads, scalar.counts().reads);
+        assert_eq!(m.counts(), scalar.counts());
     }
 
     #[test]
@@ -804,8 +794,9 @@ mod tests {
                 let m = &m;
                 scope.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(t);
+                    let (mut words, mut masks) = (Vec::new(), Vec::new());
                     for i in 0..64 {
-                        let _ = m.read_shared(i, &mut rng);
+                        m.read_row_shared(i, 1, &mut rng, &mut words, &mut masks);
                     }
                 });
             }

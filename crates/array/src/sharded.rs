@@ -19,10 +19,15 @@
 //! stream follows the address-keyed randomness contract of
 //! [`behavioral::streams`](crate::behavioral::streams): write faults are
 //! keyed by `(seed, bank, offset)`, snapshot/bulk-read corruption by
-//! `(seed, bank)`, and shared reads draw from the caller's RNG. The
-//! shard-equivalence property tests pin a `ShardedMemory` at any shard
-//! count **bit-identical** to a naive scalar oracle of that contract —
-//! stored image, fault masks, and access counts alike.
+//! `(seed, bank)`, and request reads draw their fault masks from the
+//! caller's RNG. The shard-equivalence property tests pin a
+//! `ShardedMemory` at any shard count **bit-identical** to a naive scalar
+//! oracle of that contract — stored image, fault masks, and access counts
+//! alike. A request reads in three calls, so one physical fetch can feed
+//! a whole micro-batch: [`ShardedMemory::observe_range`] copies the
+//! observed bytes, [`ShardedMemory::sample_read_masks`] (or its
+//! four-reader form) draws the fault masks, and
+//! [`ShardedMemory::charge_reads`] bills the owning shards.
 //!
 //! Bulk operations ([`ShardedMemory::load`], [`ShardedMemory::read_bulk`],
 //! [`ShardedMemory::corrupt_snapshot`]) fan out per shard or per bank on
@@ -32,7 +37,7 @@
 
 use crate::behavioral::{streams, AccessCounts, BankModels};
 use crate::organization::{SynapticMemoryMap, WordAddress};
-use fault_inject::injector::{sample_read_mask, InjectionStats};
+use fault_inject::injector::InjectionStats;
 use fault_inject::model::{WordFailureModel, WORD_BITS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -115,26 +120,38 @@ pub struct ShardRange {
 ///
 /// # Examples
 ///
-/// Shared reads route to the owning shard and bump its counter, while the
-/// fault mask comes from the caller's RNG — identical at any shard count:
+/// A read observes the stored bytes, XORs in fault masks drawn from the
+/// caller's RNG, and bills the owning shards. The masks are a pure
+/// function of that RNG stream and the banks' failure models — never of
+/// the shard layout — so replaying a request's seed replays its faults:
 ///
 /// ```
-/// use fault_inject::model::WordFailureModel;
-/// use fault_inject::protection::ProtectionPolicy;
+/// use fault_inject::model::{BitErrorRates, WordFailureModel};
+/// use fault_inject::protection::{CellAssignment, ProtectionPolicy};
 /// use rand::rngs::StdRng;
 /// use rand::SeedableRng;
 /// use sram_array::organization::{SubArrayDims, SynapticMemoryMap};
 /// use sram_array::sharded::ShardedMemory;
 ///
-/// let map = SynapticMemoryMap::new(&[64], &ProtectionPolicy::Uniform6T, SubArrayDims::PAPER);
-/// let mut memory = ShardedMemory::new(map, vec![WordFailureModel::ideal()], 7, 4);
-/// memory.load(&[0xA5; 64]);
-///
-/// let mut rng = StdRng::seed_from_u64(1);
-/// let (value, fault_mask) = memory.read_shared(9, &mut rng);
-/// assert_eq!((value, fault_mask), (0xA5, 0), "ideal cells never fault");
-/// assert_eq!(memory.counts().reads, 1);
-/// assert_eq!(memory.shard_counts()[0].reads, 1, "word 9 lives in shard 0 of 4");
+/// let rates = BitErrorRates { read_6t: 0.5, write_6t: 0.0, read_8t: 0.0, write_8t: 0.0 };
+/// let model = WordFailureModel::new(&rates, &CellAssignment::msb_protected(4));
+/// let policy = ProtectionPolicy::MsbProtected { msb_8t: 4 };
+/// let read = |shards| {
+///     let map = SynapticMemoryMap::new(&[64], &policy, SubArrayDims::PAPER);
+///     let mut memory = ShardedMemory::new(map, vec![model.clone()], 7, shards);
+///     memory.load(&[0xA5; 64]);
+///     let (mut values, mut masks) = (Vec::new(), [0u8; 3]);
+///     memory.observe_range(9, 3, &mut values);
+///     let mut rng = StdRng::seed_from_u64(1);
+///     memory.sample_read_masks(9, [(0, 3)], &mut rng, &mut masks);
+///     memory.charge_reads(9, 3, 1);
+///     assert_eq!(values, [0xA5; 3]);
+///     assert!(masks.iter().all(|m| m & 0xF0 == 0), "8T-protected MSBs never fault");
+///     (masks, memory.shard_counts()[0].reads)
+/// };
+/// let (masks, reads) = read(1);
+/// assert_eq!((masks, reads), read(4), "words 9..12 live in shard 0 of 4 too");
+/// assert_eq!(reads, 3);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShardedMemory {
@@ -146,8 +163,6 @@ pub struct ShardedMemory {
     /// Words per shard (every shard but the last holds exactly this many).
     chunk: usize,
     shards: Vec<Shard>,
-    /// Owned reads served so far — the key of the owned-read fault stream.
-    reads_served: u64,
     /// Stuck-at spans and spare-row repairs (empty in a healthy store).
     overlays: Overlays,
 }
@@ -209,7 +224,6 @@ impl ShardedMemory {
             base_seed: seed,
             chunk,
             shards: shard_vec,
-            reads_served: 0,
             overlays: Overlays::default(),
         }
     }
@@ -472,25 +486,6 @@ impl ShardedMemory {
             .and_then(|(&start, data)| data.get(index - start).copied())
     }
 
-    /// The stored byte as the sensing path observes it: spare contents for
-    /// repaired rows, stuck masks applied otherwise. Equal to the raw
-    /// stored byte whenever no overlay covers the word.
-    fn observe(&self, index: usize) -> u8 {
-        if let Some(byte) = self.repaired_byte(index) {
-            return byte;
-        }
-        let s = &self.shards[self.shard_of(index)];
-        let stored = s.words[index - s.start];
-        let at = self
-            .overlays
-            .stuck
-            .partition_point(|r| r.start + r.words <= index);
-        match self.overlays.stuck.get(at) {
-            Some(r) if r.start <= index => (stored | r.or_mask) & r.and_mask,
-            _ => stored,
-        }
-    }
-
     /// Applies stuck masks and spare-row repairs to the observed bytes of
     /// `start..start + out.len()` (already copied from storage into `out`).
     fn apply_overlays(&self, start: usize, out: &mut [u8]) {
@@ -585,107 +580,21 @@ impl ShardedMemory {
         *s.writes.get_mut() += 1;
     }
 
-    /// Reads one word through the owned-read fault stream, keyed by the
-    /// number of owned reads served so far.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn read(&mut self, index: usize) -> u8 {
-        assert!(index < self.len(), "word index {index} out of range");
-        let bank = self.bank_of(index);
-        let mask = self
-            .banks
-            .owned_read_mask(self.base_seed, self.reads_served, bank);
-        self.reads_served += 1;
-        let stored = if self.overlays.is_empty() {
-            let s = &self.shards[self.shard_of(index)];
-            s.words[index - s.start]
-        } else {
-            self.observe(index)
-        };
-        let shard = self.shard_of(index);
-        *self.shards[shard].reads.get_mut() += 1;
-        stored ^ mask
-    }
-
-    /// Reads one word through `&self`, sampling the read-fault bits from a
-    /// caller-provided RNG — the shared-state entry point the serving
-    /// layer funnels every weight fetch through.
-    ///
-    /// Returns `(value, fault_mask)`; the owning shard's read counter is
-    /// bumped atomically.
-    ///
-    /// # Examples
-    ///
-    /// The fault mask is a pure function of the caller's RNG stream and
-    /// the bank's failure model — never of the shard layout — so replaying
-    /// a request's seed replays its faults exactly:
-    ///
-    /// ```
-    /// use fault_inject::model::{BitErrorRates, WordFailureModel};
-    /// use fault_inject::protection::{CellAssignment, ProtectionPolicy};
-    /// use rand::rngs::StdRng;
-    /// use rand::SeedableRng;
-    /// use sram_array::organization::{SubArrayDims, SynapticMemoryMap};
-    /// use sram_array::sharded::ShardedMemory;
-    ///
-    /// let rates = BitErrorRates { read_6t: 0.5, write_6t: 0.0, read_8t: 0.0, write_8t: 0.0 };
-    /// let model = WordFailureModel::new(&rates, &CellAssignment::msb_protected(4));
-    /// let build = |shards| {
-    ///     let map = SynapticMemoryMap::new(
-    ///         &[32],
-    ///         &ProtectionPolicy::MsbProtected { msb_8t: 4 },
-    ///         SubArrayDims::PAPER,
-    ///     );
-    ///     let mut m = ShardedMemory::new(map, vec![model.clone()], 3, shards);
-    ///     m.load(&[0u8; 32]);
-    ///     m
-    /// };
-    /// let (one, four) = (build(1), build(4));
-    /// let mut rng_a = StdRng::seed_from_u64(9);
-    /// let mut rng_b = StdRng::seed_from_u64(9);
-    /// for word in 0..32 {
-    ///     let (value, mask) = one.read_shared(word, &mut rng_a);
-    ///     assert_eq!((value, mask), four.read_shared(word, &mut rng_b));
-    ///     assert_eq!(mask & 0xF0, 0, "8T-protected MSBs never fault");
-    /// }
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn read_shared<R: Rng + ?Sized>(&self, index: usize, rng: &mut R) -> (u8, u8) {
-        assert!(index < self.len(), "word index {index} out of range");
-        let bank = self.bank_of(index);
-        let mask = sample_read_mask(&self.banks.models[bank], rng);
-        let s = &self.shards[self.shard_of(index)];
-        s.reads.fetch_add(1, Ordering::Relaxed);
-        let stored = if self.overlays.is_empty() {
-            s.words[index - s.start]
-        } else {
-            self.observe(index)
-        };
-        (stored ^ mask, mask)
-    }
-
     /// Reads the contiguous row `start..start + len` through `&self` in one
     /// pass, appending the faulted values to `words` and the per-word fault
     /// masks to `masks` (both are cleared first). Returns the number of
     /// injected fault bits.
     ///
-    /// Stream-equivalent to `len` scalar [`read_shared`](Self::read_shared)
-    /// calls on the same RNG: the mask pass walks *bank* segments drawing
-    /// per-word masks in address order (each word exactly the draws
-    /// [`sample_read_mask`] would make), and the value pass walks *shard*
-    /// segments copying stored bytes with one atomic counter bump per
-    /// segment instead of one per word. Shard and bank boundaries may cut
-    /// the row anywhere — neither affects a single drawn bit, because mask
-    /// streams are keyed by bank and values by address.
+    /// The three halves of a request read in one call:
+    /// [`sample_read_masks`](Self::sample_read_masks) over the one span,
+    /// [`observe_range`](Self::observe_range) and
+    /// [`charge_reads`](Self::charge_reads). No serving path calls it; it
+    /// stays public only for the benchmark's whole-store row-read probe.
     ///
     /// # Panics
     ///
     /// Panics if `start + len` exceeds the capacity.
+    #[doc(hidden)]
     pub fn read_row_shared<R: Rng + ?Sized>(
         &self,
         start: usize,
@@ -719,9 +628,10 @@ impl ShardedMemory {
     /// `spans` are `(at, len)` runs of the words `start + at..start + at +
     /// len`, taken in the reader's draw order; each run's masks land at
     /// `masks[at..at + len]` (words no span covers are left as they are).
-    /// Draw-for-draw identical to reading the spans in that order with
-    /// [`read_row_shared`](Self::read_row_shared) on the same RNG. Returns
-    /// the number of set fault bits.
+    /// Draw-for-draw identical to calling
+    /// `fault_inject::injector::sample_read_mask` with each word's bank
+    /// model, word by word in span order, on the same RNG. Returns the
+    /// number of set fault bits.
     ///
     /// # Panics
     ///
@@ -838,19 +748,19 @@ impl ShardedMemory {
     /// Reads one word without transient fault injection — what a perfect
     /// sense amplifier would observe: spare contents for repaired rows and
     /// stuck masks applied, raw storage otherwise (debug, verification,
-    /// and the scrubber's write-back check).
+    /// and the scrubber's write-back check). Bumps no counter.
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range.
     pub fn read_raw(&self, index: usize) -> u8 {
         assert!(index < self.len(), "word index {index} out of range");
-        if self.overlays.is_empty() {
-            let s = &self.shards[self.shard_of(index)];
-            s.words[index - s.start]
-        } else {
-            self.observe(index)
+        let s = &self.shards[self.shard_of(index)];
+        let mut word = [s.words[index - s.start]];
+        if !self.overlays.is_empty() {
+            self.apply_overlays(index, &mut word);
         }
+        word[0]
     }
 
     /// Bulk-loads `data` through the faulty write path starting at word 0,
@@ -1097,17 +1007,11 @@ mod tests {
         assert_eq!(m.shard_ranges().iter().map(|r| r.words).sum::<usize>(), 10);
     }
 
-    #[test]
-    fn sharded_owned_reads_match_monolith() {
-        let data = vec![0x5Au8; 200];
-        let (mut mono, mut sharded) = pair(&[120, 80], 0.1, 0.0, 5, 3);
-        mono.load(&data);
-        sharded.load(&data);
-        // Same access pattern → same owned-read streams.
-        let pattern: Vec<usize> = (0..200).rev().chain(0..200).collect();
-        for &i in &pattern {
-            assert_eq!(mono.read(i), sharded.read(i), "word {i}");
-        }
+    /// One word through the row reader: `(value, mask)`.
+    fn read_word(m: &ShardedMemory, index: usize, rng: &mut StdRng) -> (u8, u8) {
+        let (mut words, mut masks) = (Vec::new(), Vec::new());
+        m.read_row_shared(index, 1, rng, &mut words, &mut masks);
+        (words[0], masks[0])
     }
 
     #[test]
@@ -1118,13 +1022,15 @@ mod tests {
         sharded.load(&data);
         let mut rng_a = StdRng::seed_from_u64(42);
         let mut rng_b = StdRng::seed_from_u64(42);
-        for i in 0..150 {
+        // Out of address order, and across the bank and shard boundaries.
+        for i in (0..150).rev().chain(0..150) {
             assert_eq!(
                 mono.read_shared(i, &mut rng_a),
-                sharded.read_shared(i, &mut rng_b)
+                read_word(&sharded, i, &mut rng_b),
+                "word {i}"
             );
         }
-        assert_eq!(sharded.counts().reads, 150);
+        assert_eq!(sharded.counts(), mono.counts());
     }
 
     #[test]
@@ -1171,7 +1077,7 @@ mod tests {
                 scope.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(t);
                     for i in 0..64 {
-                        let _ = m.read_shared(i, &mut rng);
+                        read_word(m, i, &mut rng);
                     }
                 });
             }
@@ -1197,9 +1103,15 @@ mod tests {
         );
         let mut m = ShardedMemory::new(map, vec![model], 13, 5);
         m.load(&vec![0u8; 400]);
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut lsb_faults = 0u32;
         for i in 0..400 {
-            assert_eq!(m.read(i) & 0xE0, 0, "protected MSBs must never flip");
+            let (value, _) = read_word(&m, i, &mut rng);
+            assert_eq!(value & 0xE0, 0, "protected MSBs must never flip");
+            lsb_faults += value.count_ones();
         }
+        assert!(lsb_faults > 0, "the 6T LSBs must fault");
+        assert!(m.shard_counts().iter().all(|c| c.reads == 80));
     }
 
     #[test]

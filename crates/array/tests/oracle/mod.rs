@@ -33,7 +33,6 @@ pub struct Oracle {
     models: Vec<WordFailureModel>,
     seed: u64,
     words: Vec<u8>,
-    owned_reads: u64,
     counts: AccessCounts,
 }
 
@@ -46,7 +45,6 @@ impl Oracle {
             models,
             seed,
             words,
-            owned_reads: 0,
             counts: AccessCounts::default(),
         }
     }
@@ -70,16 +68,7 @@ impl Oracle {
         }
     }
 
-    /// An owned read: a fresh RNG keyed by the number of owned reads so far.
-    pub fn read(&mut self, index: usize) -> u8 {
-        let seed = streams::owned_read_seed(self.seed, self.owned_reads);
-        let mask = sample_read_mask(self.model_of(index), &mut StdRng::seed_from_u64(seed));
-        self.owned_reads += 1;
-        self.counts.reads += 1;
-        self.words[index] ^ mask
-    }
-
-    /// A shared read: the mask comes from the caller's RNG.
+    /// A request read: the mask comes from the caller's RNG.
     pub fn read_shared<R: Rng + ?Sized>(&mut self, index: usize, rng: &mut R) -> (u8, u8) {
         let mask = sample_read_mask(self.model_of(index), rng);
         self.counts.reads += 1;

@@ -4,6 +4,8 @@
 use fault_inject::model::{BitErrorRates, WordFailureModel};
 use fault_inject::protection::ProtectionPolicy;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use sram_array::bist::run_bist;
 use sram_array::organization::{SubArrayDims, SynapticMemoryMap};
 use sram_array::sharded::ShardedMemory;
@@ -71,9 +73,11 @@ proptest! {
         );
         let mut memory = ShardedMemory::new(map, vec![WordFailureModel::ideal()], 1, 3);
         memory.load(&data);
-        for (i, &expected) in data.iter().enumerate() {
-            prop_assert_eq!(memory.read(i), expected);
-        }
+        let mut rng = StdRng::seed_from_u64(0);
+        let (mut words, mut masks) = (Vec::new(), Vec::new());
+        let fault_bits = memory.read_row_shared(0, data.len(), &mut rng, &mut words, &mut masks);
+        prop_assert_eq!(fault_bits, 0);
+        prop_assert_eq!(words, data);
     }
 
     /// Snapshot corruption flips approximately n_words * 8 * p bits.

@@ -1,7 +1,8 @@
-//! Inference-path bench: one classification through the fused bulk-read
-//! datapath on the serving fixture `serve_bench` uses. Serving throughput
-//! and the batch-amortized path are measured end to end by `perfbench`
-//! (`serve_fault_free`, `serve_maintain`) under a paired protocol.
+//! Inference-path bench: one classification through the batch datapath,
+//! as a one-request batch, on the serving fixture `serve_bench` uses.
+//! Serving throughput and multi-request batches are measured end to end by
+//! `perfbench` (`serve_fault_free`, `serve_maintain`) under a paired
+//! protocol.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fault_inject::model::{BitErrorRates, WordFailureModel};
@@ -35,9 +36,10 @@ fn build_system() -> (NeuromorphicSystem, Vec<f32>) {
     (system, test_set.image(0).to_vec())
 }
 
-/// One end-to-end classification through the fused bulk-read datapath
-/// (row-granular fault sampling + SIMD MAC), warm context, faulting
-/// memory — the per-request inner loop every serving path sits on.
+/// One end-to-end classification as a one-request `classify_batch` (one
+/// bank fetch, the scalar span fault sampler, then the SIMD MAC on the
+/// request's faulted image), warm context, faulting memory. The ledger key
+/// keeps its historical name.
 fn bench_infer(c: &mut Criterion) {
     let (system, features) = build_system();
     let mut ctx = system.make_context(BASE_SEED, 0);

@@ -10,7 +10,7 @@
 //! Every pop holds the jobs of one tenant, in whole sampler passes where
 //! the backlog allows: the queue keeps one FIFO per tenant, a pop serves
 //! the tenant whose head job was queued first (admission order, so no
-//! tenant starves), and its size, [`adaptive_batch`] of that tenant's
+//! tenant starves), and its size, `adaptive_batch` of that tenant's
 //! backlog, is rounded down to a multiple of [`REQUESTS_PER_PASS`] (at
 //! least one pass) once the backlog holds a pass. A pop costs one scan
 //! over the tenants, never over the jobs.
@@ -111,7 +111,7 @@ impl<J> BatchQueue<J> {
     }
 
     /// Blocks until a job is queued or the queue is closed, then moves the
-    /// oldest [`pop_size`] jobs of the tenant whose head job was queued
+    /// oldest `pop_size` jobs of the tenant whose head job was queued
     /// first into `batch` (cleared first). `false` once closed and empty.
     pub fn pop_batch(&self, batch: &mut Vec<J>) -> bool {
         batch.clear();
@@ -156,8 +156,8 @@ pub struct Completion {
 /// [`NeuromorphicSystem::classify_batch`] on any store: one bank fetch per
 /// layer feeds every request, and on a read-faulty store the requests'
 /// fault streams are sampled four at a time. Predictions and accounting
-/// are bit-identical to [`NeuromorphicSystem::classify_request`] per
-/// request.
+/// depend only on each job's request id and features, never on the batch
+/// it rides in.
 ///
 /// `ctxs` is the caller's scratch. It grows to the largest batch seen and
 /// may serve any system, since every request re-arms its context; its

@@ -22,13 +22,15 @@
 //! predictions are **bit-identical at any worker count and any micro-batch
 //! size** — the property the `serve-load` CI job pins. Latencies are wall
 //! clock; only their aggregation (histogram merge) is order-invariant.
+//!
+//! [`InferContext::reset`]: neuro_system::controller::InferContext::reset
 
 use crate::metrics::{prediction_digest, LatencyHistogram};
 use crate::policy::DrowsyPlan;
 use crate::resilience::{ResilienceController, ResilienceCounters};
 use crate::scheduler::{classify_micro_batch, BatchQueue, DEFAULT_MAX_BATCH};
 use fault_inject::model::WORD_BITS;
-use neuro_system::controller::{InferContext, NeuromorphicSystem};
+use neuro_system::controller::NeuromorphicSystem;
 use neuro_system::energy::SystemEnergyReport;
 use sram_device::units::Watt;
 use std::time::{Duration, Instant};
@@ -245,14 +247,15 @@ impl InferenceServer {
         counts.iter().map(|c| c.reads as u64).collect()
     }
 
-    /// The reference prediction vector: request `i` classified on the
-    /// `sram_exec` pool, no queue, no batching. [`serve`](Self::serve) must
-    /// match this bit-for-bit — tests pin the two against each other.
+    /// The reference prediction vector: request `i` classified in one
+    /// input-ordered [`NeuromorphicSystem::classify_all`] pass on the
+    /// `sram_exec` pool, no queue, no scheduler. [`serve`](Self::serve)
+    /// must match this bit-for-bit — tests pin the two against each other.
     pub fn reference_predictions<S: AsRef<[f32]> + Sync>(&self, requests: &[S]) -> Vec<usize> {
-        sram_exec::par_map_indexed(requests.len(), |i| {
-            let mut ctx = InferContext::for_request(self.options.base_seed, i as u64);
-            self.system.classify_request(requests[i].as_ref(), &mut ctx)
-        })
+        self.system
+            .classify_all(requests.len(), self.options.base_seed, |i| {
+                requests[i].as_ref()
+            })
     }
 
     /// Serves a closed batch of requests (request `i` has id `i`, all

@@ -47,6 +47,10 @@ fn argmax_lowest(codes: &[u8]) -> Option<usize> {
 /// read-faulty one.
 pub const REQUESTS_PER_PASS: usize = 4;
 
+/// Requests per micro-batch of [`NeuromorphicSystem::classify_all`]: four
+/// full passes.
+const FOLD_BATCH: usize = 4 * REQUESTS_PER_PASS;
+
 /// Shape of one layer as seen by the controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LayerShape {
@@ -79,8 +83,10 @@ impl LayerShape {
 #[derive(Debug, Clone)]
 pub struct InferContext {
     rng: StdRng,
-    weight_buf: Vec<u8>,
-    mask_buf: Vec<u8>,
+    /// The observed banks of a batch; only a batch's first context holds it.
+    banks: Vec<u8>,
+    /// A batch's fault-mask lanes, held like `banks`.
+    lanes: Vec<u8>,
     activations: Vec<u8>,
     next: Vec<u8>,
     fault_bits: u64,
@@ -93,13 +99,13 @@ impl InferContext {
     /// request_id)` — independent of worker, order, and batch placement.
     ///
     /// Scratch buffers start empty and grow on first use; prefer
-    /// [`NeuromorphicSystem::make_context`], which pre-sizes them from the
-    /// layer shapes so no request ever reallocates.
+    /// [`NeuromorphicSystem::make_context`], which pre-sizes the layer
+    /// scratch from the layer shapes.
     pub fn for_request(base_seed: u64, request_id: u64) -> Self {
         Self {
             rng: StdRng::seed_from_u64(derive_seed(base_seed, request_id)),
-            weight_buf: Vec::new(),
-            mask_buf: Vec::new(),
+            banks: Vec::new(),
+            lanes: Vec::new(),
             activations: Vec::new(),
             next: Vec::new(),
             fault_bits: 0,
@@ -259,24 +265,19 @@ impl NeuromorphicSystem {
     }
 
     /// A context for request `request_id` of the stream rooted at
-    /// `base_seed`, with every scratch buffer pre-sized from this system's
-    /// layer shapes — the per-request path never reallocates, not even on
-    /// the first request. The fetch scratch holds the widest weight row;
-    /// the bank scratch of [`classify_batch`](Self::classify_batch) is
-    /// grown once, in the first context of a worker's batches, not in
-    /// every context. Behaviorally identical to
-    /// [`InferContext::for_request`].
+    /// `base_seed`, with its layer scratch pre-sized from this system's
+    /// layer shapes. The bank scratch of
+    /// [`classify_batch`](Self::classify_batch) is grown once, in the first
+    /// context of a worker's batches, not in every context. Behaviorally
+    /// identical to [`InferContext::for_request`].
     pub fn make_context(&self, base_seed: u64, request_id: u64) -> InferContext {
         let mut ctx = InferContext::for_request(base_seed, request_id);
-        let row = self.shapes.iter().map(|s| s.inputs).max().unwrap_or(0);
         let width = self
             .shapes
             .iter()
             .map(|s| s.inputs.max(s.outputs))
             .max()
             .unwrap_or(0);
-        ctx.weight_buf.reserve_exact(row);
-        ctx.mask_buf.reserve_exact(row);
         ctx.activations.reserve_exact(width);
         ctx.next.reserve_exact(width);
         ctx
@@ -292,66 +293,16 @@ impl NeuromorphicSystem {
         self.shapes.iter().map(|s| s.inputs * s.outputs).sum()
     }
 
-    /// Runs a full forward pass on shared state; returns the output
-    /// activation codes (borrowed from the context's scratch).
-    ///
-    /// Each neuron's weight row is fetched in one
-    /// [`read_row_shared`](ShardedMemory::read_row_shared) call into the
-    /// context's scratch (no per-word address resolve or push churn), then
-    /// accumulated by the NPE's fused 8-lane MAC. Stream-equivalent to the
-    /// word-at-a-time datapath: the row fetch draws the same masks in the
-    /// same order as `inputs` scalar reads, and the per-neuron bias read
-    /// keeps its place in the stream right after its weight row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the feature count does not match the input layer.
-    pub fn infer_request<'c>(&self, features: &[f32], ctx: &'c mut InferContext) -> &'c [u8] {
-        assert_eq!(
-            features.len(),
-            self.shapes[0].inputs,
-            "input width mismatch"
-        );
-        ctx.activations.clear();
-        ctx.activations
-            .extend(features.iter().map(|&f| encode_activation(f)));
-        let mut bank_base = self.base_addr;
-        for shape in &self.shapes {
-            ctx.next.clear();
-            for neuron in 0..shape.outputs {
-                let row_start = bank_base + layout::weight_offset(shape.inputs, neuron, 0);
-                ctx.fault_bits += self.memory.read_row_shared(
-                    row_start,
-                    shape.inputs,
-                    &mut ctx.rng,
-                    &mut ctx.weight_buf,
-                    &mut ctx.mask_buf,
-                );
-                let (bias, mask) = self.memory.read_shared(
-                    bank_base + layout::bias_offset(shape.inputs, shape.outputs, neuron),
-                    &mut ctx.rng,
-                );
-                ctx.fault_bits += u64::from(mask.count_ones());
-                ctx.reads += (shape.inputs + 1) as u64;
-                ctx.next
-                    .push(self.npe.neuron(&ctx.weight_buf, bias, &ctx.activations));
-            }
-            bank_base += shape.bank_words();
-            std::mem::swap(&mut ctx.activations, &mut ctx.next);
-        }
-        &ctx.activations
-    }
-
-    /// Classifies one input sample on shared state; returns the predicted
-    /// class index. Ties break to the **lowest** class index, matching the
+    /// Classifies one input sample on shared state: a one-request
+    /// [`classify_batch`](Self::classify_batch). Returns the predicted
+    /// class index; ties break to the **lowest** class index, matching the
     /// float evaluator's argmax.
     ///
     /// # Panics
     ///
     /// Panics if the feature count does not match the input layer.
     pub fn classify_request(&self, features: &[f32], ctx: &mut InferContext) -> usize {
-        let outputs = self.infer_request(features, ctx);
-        argmax_lowest(outputs).expect("non-empty output layer")
+        self.classify_batch(&[features], std::slice::from_mut(ctx))[0]
     }
 
     /// Classifies a micro-batch on shared state, fetching each layer bank
@@ -381,9 +332,11 @@ impl NeuromorphicSystem {
     ///   request's MAC then runs on its own `bank ^ mask` image.
     ///
     /// Either way every request's output codes, prediction, fault bits,
-    /// read count and end RNG state, and every shard counter, are
-    /// byte-identical to running
-    /// [`classify_request`](Self::classify_request) per request.
+    /// read count and end RNG state, and every shard counter, are those of
+    /// reading the request's words one at a time in its draw order, each
+    /// with a fresh scalar fault mask — whatever the batch's size and the
+    /// request's place in it. The tests pin this against a naive
+    /// word-at-a-time reference in `tests/oracle`.
     ///
     /// # Panics
     ///
@@ -408,8 +361,8 @@ impl NeuromorphicSystem {
         // The bank scratch (the observed banks, and four requests' masks
         // on a faulty store) is borrowed from the first context and handed
         // back at the end: a worker that keeps its contexts grows it once.
-        let mut banks = std::mem::take(&mut ctxs[0].weight_buf);
-        let mut lanes = std::mem::take(&mut ctxs[0].mask_buf);
+        let mut banks = std::mem::take(&mut ctxs[0].banks);
+        let mut lanes = std::mem::take(&mut ctxs[0].lanes);
         self.memory.observe_range(self.base_addr, words, &mut banks);
         self.memory.charge_reads(self.base_addr, words, batch.len());
         if self.memory.read_fault_free() {
@@ -430,8 +383,8 @@ impl NeuromorphicSystem {
                 self.forward_faulty(&banks, &mut lanes, quad);
             }
         }
-        ctxs[0].weight_buf = banks;
-        ctxs[0].mask_buf = lanes;
+        ctxs[0].banks = banks;
+        ctxs[0].lanes = lanes;
         ctxs.iter_mut()
             .map(|ctx| {
                 ctx.reads += words as u64;
@@ -541,42 +494,48 @@ impl NeuromorphicSystem {
         }
     }
 
+    /// Classifies requests `0..n` of the stream rooted at `base_seed`,
+    /// request `i` carrying `features(i)`: input-ordered micro-batches of
+    /// sixteen through [`classify_batch`](Self::classify_batch),
+    /// fanned out on the `sram_exec` pool. Returns the predictions in
+    /// request order, bit-identical at any worker count.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a feature-width mismatch.
+    pub fn classify_all<'a>(
+        &self,
+        n: usize,
+        base_seed: u64,
+        features: impl Fn(usize) -> &'a [f32] + Sync,
+    ) -> Vec<usize> {
+        let per_batch = sram_exec::par_map_indexed(n.div_ceil(FOLD_BATCH), |b| {
+            let ids = b * FOLD_BATCH..n.min((b + 1) * FOLD_BATCH);
+            let batch: Vec<&[f32]> = ids.clone().map(&features).collect();
+            let mut ctxs: Vec<InferContext> = ids
+                .map(|id| self.make_context(base_seed, id as u64))
+                .collect();
+            self.classify_batch(&batch, &mut ctxs)
+        });
+        per_batch.concat()
+    }
+
     /// Classification accuracy over a dataset, running every sample through
-    /// the full memory-faulting datapath. Sample `i` is request `i` of the
-    /// stream rooted at `base_seed`, so samples are independent and fan out
-    /// on the `sram_exec` pool — bit-identical to
-    /// [`accuracy_sequential`](Self::accuracy_sequential) at any worker
-    /// count.
+    /// the full memory-faulting datapath: sample `i` is request `i` of the
+    /// stream rooted at `base_seed` in one
+    /// [`classify_all`](Self::classify_all) pass.
     ///
     /// # Panics
     ///
     /// Panics on an empty dataset or feature-width mismatch.
     pub fn accuracy(&self, data: &neural::dataset::Dataset, base_seed: u64) -> f64 {
         assert!(!data.is_empty(), "empty dataset");
-        let correct: Vec<bool> = sram_exec::par_map_indexed(data.len(), |i| {
-            let mut ctx = InferContext::for_request(base_seed, i as u64);
-            self.classify_request(data.image(i), &mut ctx) == data.label(i)
-        });
-        correct.iter().filter(|&&c| c).count() as f64 / data.len() as f64
-    }
-
-    /// The sequential reference fold of [`accuracy`](Self::accuracy): one
-    /// warm context, samples in order. Exists so tests can pin the parallel
-    /// fan-out bit-identical to it.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty dataset or feature-width mismatch.
-    pub fn accuracy_sequential(&self, data: &neural::dataset::Dataset, base_seed: u64) -> f64 {
-        assert!(!data.is_empty(), "empty dataset");
-        let mut ctx = InferContext::for_request(base_seed, 0);
-        let mut correct = 0usize;
-        for i in 0..data.len() {
-            ctx.reset(base_seed, i as u64);
-            if self.classify_request(data.image(i), &mut ctx) == data.label(i) {
-                correct += 1;
-            }
-        }
+        let predictions = self.classify_all(data.len(), base_seed, |i| data.image(i));
+        let correct = predictions
+            .iter()
+            .enumerate()
+            .filter(|&(i, &p)| p == data.label(i))
+            .count();
         correct as f64 / data.len() as f64
     }
 }
@@ -584,6 +543,7 @@ impl NeuromorphicSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
     use fault_inject::model::{BitErrorRates, WordFailureModel};
     use fault_inject::protection::ProtectionPolicy;
     use neural::dataset::synth;
@@ -700,12 +660,24 @@ mod tests {
             read_8t: 0.0,
             write_8t: 0.0,
         };
-        let system = NeuromorphicSystem::new(
-            &q,
-            sharded(&words, &policy, &rates, 5, 2),
-            Npe::new(q.format),
-        );
-        let reference = system.accuracy_sequential(&test_set, 77);
+        let build = || {
+            NeuromorphicSystem::new(
+                &q,
+                sharded(&words, &policy, &rates, 5, 2),
+                Npe::new(q.format),
+            )
+        };
+        // The sequential fold: the word-at-a-time reference, samples in
+        // order.
+        let twin = build();
+        let correct = (0..test_set.len())
+            .filter(|&i| {
+                let r = oracle::infer_request(&twin, &q, 0, test_set.image(i), 77, i as u64);
+                r.prediction == test_set.label(i)
+            })
+            .count();
+        let reference = correct as f64 / test_set.len() as f64;
+        let system = build();
         for threads in [1usize, 2, 4] {
             sram_exec::set_threads(threads);
             let parallel = system.accuracy(&test_set, 77);
@@ -736,29 +708,38 @@ mod tests {
         let img = test_set.image(0);
 
         // Fresh context vs a context warmed on other requests then reset:
-        // identical outputs and identical fault accounting.
+        // identical outputs, fault accounting and RNG end state.
         let mut fresh = InferContext::for_request(3, 8);
-        let out_fresh = system.infer_request(img, &mut fresh).to_vec();
+        system.classify_request(img, &mut fresh);
         let (fresh_faults, fresh_reads) = (fresh.fault_bits(), fresh.reads());
 
         let mut warm = InferContext::for_request(3, 0);
         for id in 0..4 {
             warm.reset(3, id);
-            let _ = system.infer_request(img, &mut warm);
+            system.classify_request(img, &mut warm);
         }
         warm.reset(3, 8);
-        let out_warm = system.infer_request(img, &mut warm).to_vec();
-        assert_eq!(out_fresh, out_warm);
+        system.classify_request(img, &mut warm);
+        assert_eq!(fresh.activations, warm.activations);
         assert_eq!(fresh_faults, warm.fault_bits());
         assert_eq!(fresh_reads, warm.reads());
+        assert_eq!(fresh.rng, warm.rng);
         assert_eq!(fresh_reads, system.reads_per_inference() as u64);
         assert!(fresh_faults > 0, "20% read faults must show up");
+
+        // Both are the word-at-a-time reference's request 8.
+        let reference = oracle::infer_request(&system, &q, 0, img, 3, 8);
+        assert_eq!(fresh.activations, reference.outputs);
+        assert_eq!(fresh_faults, reference.fault_bits);
+        assert_eq!(fresh_reads, reference.reads);
+        assert_eq!(fresh.rng, reference.rng);
 
         // Replaying the same request id is exact; a different id draws an
         // independent fault stream (the *number* of faulted bits may
         // coincide, so compare a replay instead of a neighbor).
         let mut replay = InferContext::for_request(3, 8);
-        assert_eq!(out_fresh, system.infer_request(img, &mut replay).to_vec());
+        system.classify_request(img, &mut replay);
+        assert_eq!(fresh.activations, replay.activations);
         assert_eq!(replay.fault_bits(), fresh_faults);
     }
 
@@ -814,42 +795,51 @@ mod tests {
 
     #[test]
     fn make_context_pre_sizes_all_scratch() {
+        // All the per-request scratch, that is: the bank scratch is a
+        // worker's, grown once by the first request it lends.
         let (q, test_set) = trained_small_net();
         let system = NeuromorphicSystem::new(&q, ideal_memory_for(&q), Npe::new(q.format));
+        let capacities = |c: &InferContext| {
+            [
+                c.banks.capacity(),
+                c.lanes.capacity(),
+                c.activations.capacity(),
+                c.next.capacity(),
+            ]
+        };
         let mut warm = system.make_context(7, 0);
-        let caps = (
-            warm.weight_buf.capacity(),
-            warm.mask_buf.capacity(),
-            warm.activations.capacity(),
-            warm.next.capacity(),
-        );
-        assert!(caps.0 >= 784, "weight scratch {} < widest row", caps.0);
-        assert!(caps.1 >= 784, "mask scratch {} < widest row", caps.1);
+        let [_, _, activations, next] = capacities(&warm);
         assert!(
-            caps.2 >= 784,
-            "activation scratch {} < widest layer",
-            caps.2
+            activations >= 784,
+            "activation scratch {activations} < widest layer"
         );
-        assert!(caps.3 >= 784, "next scratch {} < widest layer", caps.3);
-        for id in 0..3u64 {
+        assert!(next >= 784, "next scratch {next} < widest layer");
+        system.classify_request(test_set.image(0), &mut warm);
+        let caps = capacities(&warm);
+        assert!(
+            caps[0] >= system.reads_per_inference(),
+            "bank scratch {}",
+            caps[0]
+        );
+        assert_eq!(caps[2..], [activations, next], "layer scratch grew");
+        for id in 1..4u64 {
             warm.reset(7, id);
-            let _ = system.infer_request(test_set.image(id as usize), &mut warm);
+            system.classify_request(test_set.image(id as usize), &mut warm);
         }
-        let after = (
-            warm.weight_buf.capacity(),
-            warm.mask_buf.capacity(),
-            warm.activations.capacity(),
-            warm.next.capacity(),
+        assert_eq!(
+            capacities(&warm),
+            caps,
+            "warm requests must never grow the scratch"
         );
-        assert_eq!(after, caps, "warm requests must never grow the scratch");
 
         // A pre-sized context behaves exactly like a fresh unsized one.
         let mut fresh = InferContext::for_request(7, 5);
-        let out_fresh = system.infer_request(test_set.image(5), &mut fresh).to_vec();
+        system.classify_request(test_set.image(5), &mut fresh);
         warm.reset(7, 5);
-        let out_warm = system.infer_request(test_set.image(5), &mut warm).to_vec();
-        assert_eq!(out_fresh, out_warm);
+        system.classify_request(test_set.image(5), &mut warm);
+        assert_eq!(fresh.activations, warm.activations);
         assert_eq!(fresh.reads(), warm.reads());
+        assert_eq!(fresh.rng, warm.rng);
     }
 
     #[test]
@@ -865,12 +855,12 @@ mod tests {
             .collect();
         let predictions = batch_sys.classify_batch(&batch, &mut ctxs);
         for i in 0..n {
-            let mut ctx = scalar_sys.make_context(5, i as u64);
-            let scalar = scalar_sys.classify_request(test_set.image(i), &mut ctx);
-            assert_eq!(predictions[i], scalar, "request {i}");
-            assert_eq!(ctxs[i].reads(), ctx.reads(), "request {i} read accounting");
+            let scalar = oracle::infer_request(&scalar_sys, &q, 0, test_set.image(i), 5, i as u64);
+            assert_eq!(predictions[i], scalar.prediction, "request {i}");
+            assert_eq!(ctxs[i].activations, scalar.outputs, "request {i} outputs");
+            assert_eq!(ctxs[i].reads(), scalar.reads, "request {i} read accounting");
             assert_eq!(ctxs[i].fault_bits(), 0);
-            assert_eq!(ctxs[i].rng, ctx.rng, "request {i} stream was perturbed");
+            assert_eq!(ctxs[i].rng, scalar.rng, "request {i} stream was perturbed");
         }
         assert_eq!(
             batch_sys.memory().shard_counts(),
@@ -888,9 +878,14 @@ mod tests {
         MsbProtected,
     }
 
-    /// A random-weight network on a `store`-kind memory; the 100-input
-    /// layer exercises full 16-byte MAC steps plus a ragged tail.
-    fn random_system(shards: usize, store: Store, overlays: bool) -> NeuromorphicSystem {
+    /// A random-weight network on a `store`-kind memory, and the network;
+    /// the 100-input layer exercises full 16-byte MAC steps plus a ragged
+    /// tail.
+    fn random_system(
+        shards: usize,
+        store: Store,
+        overlays: bool,
+    ) -> (NeuromorphicSystem, QuantizedMlp) {
         let q = QuantizedMlp::from_mlp(&Mlp::new(&[100, 23, 10], 7), Encoding::TwosComplement);
         let words = layout::bank_words(&q);
         let (policy, read_6t) = match store {
@@ -922,7 +917,7 @@ mod tests {
                 memory.repair_row(start, &spare);
             }
         }
-        system
+        (system, q)
     }
 
     #[test]
@@ -941,9 +936,9 @@ mod tests {
             (4, Store::MsbProtected, true),
         ];
         for (shards, store, overlays) in cases {
-            let batch_sys = random_system(shards, store, overlays);
-            let scalar_sys = random_system(shards, store, overlays);
-            let plain_sys = random_system(shards, store, false);
+            let (batch_sys, q) = random_system(shards, store, overlays);
+            let (scalar_sys, _) = random_system(shards, store, overlays);
+            let (plain_sys, _) = random_system(shards, store, false);
             let mut overlay_changed_outputs = false;
             let mut faults_seen = 0u64;
             let mut next_id = 0u64;
@@ -970,21 +965,15 @@ mod tests {
                     let at = format!(
                         "{store:?}, {shards} shards, overlays {overlays}, batch {n}, request {r}"
                     );
-                    let mut ctx = scalar_sys.make_context(5, id);
-                    let outputs = scalar_sys.infer_request(features, &mut ctx).to_vec();
-                    assert_eq!(ctxs[r].activations, outputs, "output codes at {at}");
-                    assert_eq!(
-                        predictions[r],
-                        argmax_lowest(&outputs).unwrap(),
-                        "prediction at {at}"
-                    );
-                    assert_eq!(ctxs[r].reads(), ctx.reads(), "reads at {at}");
-                    assert_eq!(ctxs[r].fault_bits(), ctx.fault_bits(), "faults at {at}");
-                    assert_eq!(ctxs[r].rng, ctx.rng, "RNG end state at {at}");
-                    faults_seen += ctx.fault_bits();
-                    let mut plain = plain_sys.make_context(5, id);
-                    overlay_changed_outputs |=
-                        plain_sys.infer_request(features, &mut plain) != outputs;
+                    let scalar = oracle::infer_request(&scalar_sys, &q, 0, features, 5, id);
+                    assert_eq!(ctxs[r].activations, scalar.outputs, "output codes at {at}");
+                    assert_eq!(predictions[r], scalar.prediction, "prediction at {at}");
+                    assert_eq!(ctxs[r].reads(), scalar.reads, "reads at {at}");
+                    assert_eq!(ctxs[r].fault_bits(), scalar.fault_bits, "faults at {at}");
+                    assert_eq!(ctxs[r].rng, scalar.rng, "RNG end state at {at}");
+                    faults_seen += scalar.fault_bits;
+                    let plain = oracle::infer_request(&plain_sys, &q, 0, features, 5, id);
+                    overlay_changed_outputs |= plain.outputs != scalar.outputs;
                 }
                 assert_eq!(
                     batch_sys.memory().counts().reads,
@@ -1012,7 +1001,7 @@ mod tests {
     #[test]
     fn warm_batches_never_grow_the_scratch() {
         for store in [Store::Clean, Store::Uniform6T, Store::MsbProtected] {
-            let system = random_system(2, store, true);
+            let (system, _) = random_system(2, store, true);
             let features: Vec<Vec<f32>> = (0..7)
                 .map(|r| (0..100).map(|i| ((i + r) % 10) as f32 / 10.0).collect())
                 .collect();
@@ -1022,8 +1011,8 @@ mod tests {
                 ctxs.iter()
                     .map(|c| {
                         [
-                            c.weight_buf.capacity(),
-                            c.mask_buf.capacity(),
+                            c.banks.capacity(),
+                            c.lanes.capacity(),
                             c.activations.capacity(),
                             c.next.capacity(),
                         ]
@@ -1034,7 +1023,7 @@ mod tests {
             let _ = system.classify_batch(&batch, &mut ctxs);
             let before = capacities(&ctxs);
             // Only the first context lends the bank scratch: every other
-            // context keeps its row-sized make_context buffers.
+            // context keeps its empty make_context bank buffers.
             assert_eq!(
                 before[1..],
                 fresh[1..],
@@ -1162,10 +1151,17 @@ mod tests {
             );
             let mut ctx_s = InferContext::for_request(9, id);
             let mut ctx_r = InferContext::for_request(9, id);
+            let prediction = res_b.classify_request(&feat_b, &mut ctx_r);
             assert_eq!(
                 standalone_b.classify_request(&feat_b, &mut ctx_s),
-                res_b.classify_request(&feat_b, &mut ctx_r),
+                prediction,
                 "tenant B request {id}"
+            );
+            let reference = oracle::infer_request(&res_b, &qb, first_bank_b, &feat_b, 9, id);
+            assert_eq!(
+                (prediction, &ctx_r.activations, ctx_r.rng.clone()),
+                (reference.prediction, &reference.outputs, reference.rng),
+                "tenant B request {id} against the reference"
             );
             assert_eq!(
                 ctx_s.fault_bits(),

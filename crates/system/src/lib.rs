@@ -20,6 +20,14 @@ pub mod layout;
 pub mod npe;
 pub mod timing;
 
+// The per-request test oracle lives with the integration tests; the unit
+// tests include the same file, which names this crate by its public name.
+#[cfg(test)]
+extern crate self as neuro_system;
+#[cfg(test)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;
+
 /// Convenient glob import for downstream crates.
 pub mod prelude {
     pub use crate::controller::{InferContext, NeuromorphicSystem};

@@ -786,11 +786,14 @@ fn net_plan(o: &Opts) -> Plan {
     let burst = "--rate 0 --global-inflight 64 --soft-inflight 32";
     // Two sub-saturation runs at different connection counts (the
     // determinism probe), then a burst with tight in-flight caps (the
-    // overload probe).
+    // overload probe). The burst sends request `i` on connection `i % 3`
+    // for tenant `i % 2`: an odd connection count interleaves both
+    // tenants on every connection, so the batch-size gate sees mixed
+    // arrivals.
     let runs = [
         ("low", "2", low.as_str()),
         ("low", "8", &low),
-        ("burst", "4", burst),
+        ("burst", "3", burst),
     ]
     .map(|(load, connections, flags)| {
         let args = format!(
