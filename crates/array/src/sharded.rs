@@ -120,38 +120,29 @@ pub struct ShardRange {
 ///
 /// # Examples
 ///
-/// A read observes the stored bytes, XORs in fault masks drawn from the
-/// caller's RNG, and bills the owning shards. The masks are a pure
-/// function of that RNG stream and the banks' failure models — never of
-/// the shard layout — so replaying a request's seed replays its faults:
+/// A read observes the stored bytes, draws fault masks from the caller's
+/// RNG, and bills the owning shard — identical at any shard count:
 ///
 /// ```
-/// use fault_inject::model::{BitErrorRates, WordFailureModel};
-/// use fault_inject::protection::{CellAssignment, ProtectionPolicy};
+/// use fault_inject::model::WordFailureModel;
+/// use fault_inject::protection::ProtectionPolicy;
 /// use rand::rngs::StdRng;
 /// use rand::SeedableRng;
 /// use sram_array::organization::{SubArrayDims, SynapticMemoryMap};
 /// use sram_array::sharded::ShardedMemory;
 ///
-/// let rates = BitErrorRates { read_6t: 0.5, write_6t: 0.0, read_8t: 0.0, write_8t: 0.0 };
-/// let model = WordFailureModel::new(&rates, &CellAssignment::msb_protected(4));
-/// let policy = ProtectionPolicy::MsbProtected { msb_8t: 4 };
-/// let read = |shards| {
-///     let map = SynapticMemoryMap::new(&[64], &policy, SubArrayDims::PAPER);
-///     let mut memory = ShardedMemory::new(map, vec![model.clone()], 7, shards);
-///     memory.load(&[0xA5; 64]);
-///     let (mut values, mut masks) = (Vec::new(), [0u8; 3]);
-///     memory.observe_range(9, 3, &mut values);
-///     let mut rng = StdRng::seed_from_u64(1);
-///     memory.sample_read_masks(9, [(0, 3)], &mut rng, &mut masks);
-///     memory.charge_reads(9, 3, 1);
-///     assert_eq!(values, [0xA5; 3]);
-///     assert!(masks.iter().all(|m| m & 0xF0 == 0), "8T-protected MSBs never fault");
-///     (masks, memory.shard_counts()[0].reads)
-/// };
-/// let (masks, reads) = read(1);
-/// assert_eq!((masks, reads), read(4), "words 9..12 live in shard 0 of 4 too");
-/// assert_eq!(reads, 3);
+/// let map = SynapticMemoryMap::new(&[64], &ProtectionPolicy::Uniform6T, SubArrayDims::PAPER);
+/// let mut memory = ShardedMemory::new(map, vec![WordFailureModel::ideal()], 7, 4);
+/// memory.load(&[0xA5; 64]);
+///
+/// let (mut values, mut masks) = (Vec::new(), [0u8; 1]);
+/// memory.observe_range(9, 1, &mut values);
+/// let mut rng = StdRng::seed_from_u64(1);
+/// let fault_bits = memory.sample_read_masks(9, [(0, 1)], &mut rng, &mut masks);
+/// memory.charge_reads(9, 1, 1);
+/// assert_eq!((values[0], masks[0], fault_bits), (0xA5, 0, 0), "ideal cells never fault");
+/// assert_eq!(memory.counts().reads, 1);
+/// assert_eq!(memory.shard_counts()[0].reads, 1, "word 9 lives in shard 0 of 4");
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShardedMemory {
@@ -636,6 +627,41 @@ impl ShardedMemory {
     /// # Panics
     ///
     /// Panics if a span runs past the capacity or past `masks`.
+    ///
+    /// # Examples
+    ///
+    /// The masks are a pure function of the caller's RNG stream and the
+    /// banks' failure models — never of the shard layout — so replaying a
+    /// request's seed replays its faults exactly:
+    ///
+    /// ```
+    /// use fault_inject::model::{BitErrorRates, WordFailureModel};
+    /// use fault_inject::protection::{CellAssignment, ProtectionPolicy};
+    /// use rand::rngs::StdRng;
+    /// use rand::SeedableRng;
+    /// use sram_array::organization::{SubArrayDims, SynapticMemoryMap};
+    /// use sram_array::sharded::ShardedMemory;
+    ///
+    /// let rates = BitErrorRates { read_6t: 0.5, write_6t: 0.0, read_8t: 0.0, write_8t: 0.0 };
+    /// let model = WordFailureModel::new(&rates, &CellAssignment::msb_protected(4));
+    /// let policy = ProtectionPolicy::MsbProtected { msb_8t: 4 };
+    /// let read = |shards| {
+    ///     let map = SynapticMemoryMap::new(&[64], &policy, SubArrayDims::PAPER);
+    ///     let mut memory = ShardedMemory::new(map, vec![model.clone()], 7, shards);
+    ///     memory.load(&[0xA5; 64]);
+    ///     let (mut values, mut masks) = (Vec::new(), [0u8; 3]);
+    ///     memory.observe_range(9, 3, &mut values);
+    ///     let mut rng = StdRng::seed_from_u64(1);
+    ///     memory.sample_read_masks(9, [(0, 3)], &mut rng, &mut masks);
+    ///     memory.charge_reads(9, 3, 1);
+    ///     assert_eq!(values, [0xA5; 3]);
+    ///     assert!(masks.iter().all(|m| m & 0xF0 == 0), "8T-protected MSBs never fault");
+    ///     (masks, memory.shard_counts()[0].reads)
+    /// };
+    /// let (masks, reads) = read(1);
+    /// assert_eq!((masks, reads), read(4), "words 9..12 live in shard 0 of 4 too");
+    /// assert_eq!(reads, 3);
+    /// ```
     pub fn sample_read_masks<R, S>(
         &self,
         start: usize,
