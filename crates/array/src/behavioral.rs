@@ -611,12 +611,19 @@ mod tests {
         ShardedMemory::new(map, vec![model], 7, SHARDS)
     }
 
+    /// Words `start..start + len` through the three production read calls
+    /// (observe, sample, bill); returns the faulted values.
+    fn read_span(m: &ShardedMemory, start: usize, len: usize, rng: &mut StdRng) -> Vec<u8> {
+        let (mut values, mut masks) = (Vec::new(), vec![0u8; len]);
+        m.observe_range(start, len, &mut values);
+        m.sample_read_masks(start, [(0, len)], rng, &mut masks);
+        m.charge_reads(start, len, 1);
+        values.iter().zip(&masks).map(|(v, k)| v ^ k).collect()
+    }
+
     /// Every word of `m` read once, in address order, on a fresh RNG.
     fn read_all(m: &ShardedMemory, seed: u64) -> Vec<u8> {
-        let (mut words, mut masks) = (Vec::new(), Vec::new());
-        let mut rng = StdRng::seed_from_u64(seed);
-        m.read_row_shared(0, m.len(), &mut rng, &mut words, &mut masks);
-        words
+        read_span(m, 0, m.len(), &mut StdRng::seed_from_u64(seed))
     }
 
     #[test]
@@ -794,9 +801,8 @@ mod tests {
                 let m = &m;
                 scope.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(t);
-                    let (mut words, mut masks) = (Vec::new(), Vec::new());
                     for i in 0..64 {
-                        m.read_row_shared(i, 1, &mut rng, &mut words, &mut masks);
+                        read_span(m, i, 1, &mut rng);
                     }
                 });
             }

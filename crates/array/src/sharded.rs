@@ -601,7 +601,6 @@ impl ShardedMemory {
         masks.clear();
         masks.resize(len, 0);
         let fault_bits = self.sample_read_masks(start, [(0, len)], rng, masks);
-        // Value pass: shard segments, one counter bump per segment.
         self.observe_range(start, len, words);
         self.charge_reads(start, len, 1);
         if fault_bits > 0 {
@@ -631,8 +630,8 @@ impl ShardedMemory {
     /// # Examples
     ///
     /// The masks are a pure function of the caller's RNG stream and the
-    /// banks' failure models — never of the shard layout — so replaying a
-    /// request's seed replays its faults exactly:
+    /// banks' failure models — never of the shard layout or the stored
+    /// bytes — so replaying a request's seed replays its faults exactly:
     ///
     /// ```
     /// use fault_inject::model::{BitErrorRates, WordFailureModel};
@@ -645,22 +644,18 @@ impl ShardedMemory {
     /// let rates = BitErrorRates { read_6t: 0.5, write_6t: 0.0, read_8t: 0.0, write_8t: 0.0 };
     /// let model = WordFailureModel::new(&rates, &CellAssignment::msb_protected(4));
     /// let policy = ProtectionPolicy::MsbProtected { msb_8t: 4 };
-    /// let read = |shards| {
-    ///     let map = SynapticMemoryMap::new(&[64], &policy, SubArrayDims::PAPER);
-    ///     let mut memory = ShardedMemory::new(map, vec![model.clone()], 7, shards);
-    ///     memory.load(&[0xA5; 64]);
-    ///     let (mut values, mut masks) = (Vec::new(), [0u8; 3]);
-    ///     memory.observe_range(9, 3, &mut values);
-    ///     let mut rng = StdRng::seed_from_u64(1);
-    ///     memory.sample_read_masks(9, [(0, 3)], &mut rng, &mut masks);
-    ///     memory.charge_reads(9, 3, 1);
-    ///     assert_eq!(values, [0xA5; 3]);
-    ///     assert!(masks.iter().all(|m| m & 0xF0 == 0), "8T-protected MSBs never fault");
-    ///     (masks, memory.shard_counts()[0].reads)
+    /// let sample = |shards| {
+    ///     let map = SynapticMemoryMap::new(&[32], &policy, SubArrayDims::PAPER);
+    ///     let memory = ShardedMemory::new(map, vec![model.clone()], 7, shards);
+    ///     let mut masks = [0u8; 32];
+    ///     memory.sample_read_masks(0, [(0, 32)], &mut StdRng::seed_from_u64(1), &mut masks);
+    ///     assert_eq!(memory.counts().reads, 0, "sampling bills no read");
+    ///     masks
     /// };
-    /// let (masks, reads) = read(1);
-    /// assert_eq!((masks, reads), read(4), "words 9..12 live in shard 0 of 4 too");
-    /// assert_eq!(reads, 3);
+    /// let masks = sample(1);
+    /// assert_eq!(masks, sample(4), "the span crosses every cut of 4 shards");
+    /// assert!(masks.iter().all(|m| m & 0xF0 == 0), "8T-protected MSBs never fault");
+    /// assert!(masks.iter().any(|&m| m != 0), "the 6T LSBs do");
     /// ```
     pub fn sample_read_masks<R, S>(
         &self,
@@ -774,19 +769,27 @@ impl ShardedMemory {
     /// Reads one word without transient fault injection — what a perfect
     /// sense amplifier would observe: spare contents for repaired rows and
     /// stuck masks applied, raw storage otherwise (debug, verification,
-    /// and the scrubber's write-back check). Bumps no counter.
+    /// and the scrubber's write-back check). Bumps no counter. Its own
+    /// per-word lookup is the reference `observe_range` is tested against.
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range.
     pub fn read_raw(&self, index: usize) -> u8 {
         assert!(index < self.len(), "word index {index} out of range");
-        let s = &self.shards[self.shard_of(index)];
-        let mut word = [s.words[index - s.start]];
-        if !self.overlays.is_empty() {
-            self.apply_overlays(index, &mut word);
+        if let Some(byte) = self.repaired_byte(index) {
+            return byte;
         }
-        word[0]
+        let s = &self.shards[self.shard_of(index)];
+        let stored = s.words[index - s.start];
+        let at = self
+            .overlays
+            .stuck
+            .partition_point(|r| r.start + r.words <= index);
+        match self.overlays.stuck.get(at) {
+            Some(r) if r.start <= index => (stored | r.or_mask) & r.and_mask,
+            _ => stored,
+        }
     }
 
     /// Bulk-loads `data` through the faulty write path starting at word 0,
@@ -1033,11 +1036,13 @@ mod tests {
         assert_eq!(m.shard_ranges().iter().map(|r| r.words).sum::<usize>(), 10);
     }
 
-    /// One word through the row reader: `(value, mask)`.
+    /// One word through the three production read calls: `(value, mask)`.
     fn read_word(m: &ShardedMemory, index: usize, rng: &mut StdRng) -> (u8, u8) {
-        let (mut words, mut masks) = (Vec::new(), Vec::new());
-        m.read_row_shared(index, 1, rng, &mut words, &mut masks);
-        (words[0], masks[0])
+        let (mut values, mut mask) = (Vec::new(), [0u8]);
+        m.observe_range(index, 1, &mut values);
+        m.sample_read_masks(index, [(0, 1)], rng, &mut mask);
+        m.charge_reads(index, 1, 1);
+        (values[0] ^ mask[0], mask[0])
     }
 
     #[test]
@@ -1190,11 +1195,9 @@ mod tests {
             assert_eq!(m.read_raw(i), expect, "word {i}");
         }
         assert_eq!(m.raw_image(), vec![0x0F; 64], "storage itself is intact");
-        // Row reads observe the same overlay as scalar reads.
-        let mut rng = StdRng::seed_from_u64(1);
-        let (mut words, mut masks) = (Vec::new(), Vec::new());
-        let faults = m.read_row_shared(0, 64, &mut rng, &mut words, &mut masks);
-        assert_eq!(faults, 0);
+        // Span observation sees the same overlay as scalar reads.
+        let mut words = Vec::new();
+        m.observe_range(0, 64, &mut words);
         let scalar: Vec<u8> = (0..64).map(|i| m.read_raw(i)).collect();
         assert_eq!(words, scalar);
         // Snapshot and bulk reads see it too.
@@ -1217,11 +1220,10 @@ mod tests {
         }
         assert!(!m.is_repaired(31));
         assert_eq!(m.repaired_rows(), vec![(32, 32)]);
-        // Row-path observation agrees with the scalar path across the
-        // repair boundary.
-        let mut rng = StdRng::seed_from_u64(2);
-        let (mut words, mut masks) = (Vec::new(), Vec::new());
-        m.read_row_shared(16, 32, &mut rng, &mut words, &mut masks);
+        // Span observation agrees with the scalar path across the repair
+        // boundary.
+        let mut words = Vec::new();
+        m.observe_range(16, 32, &mut words);
         let scalar: Vec<u8> = (16..48).map(|i| m.read_raw(i)).collect();
         assert_eq!(words, scalar);
     }

@@ -74,10 +74,13 @@ proptest! {
         let mut memory = ShardedMemory::new(map, vec![WordFailureModel::ideal()], 1, 3);
         memory.load(&data);
         let mut rng = StdRng::seed_from_u64(0);
-        let (mut words, mut masks) = (Vec::new(), Vec::new());
-        let fault_bits = memory.read_row_shared(0, data.len(), &mut rng, &mut words, &mut masks);
+        let (mut words, mut masks) = (Vec::new(), vec![0u8; data.len()]);
+        memory.observe_range(0, data.len(), &mut words);
+        let fault_bits = memory.sample_read_masks(0, [(0, data.len())], &mut rng, &mut masks);
+        memory.charge_reads(0, data.len(), 1);
         prop_assert_eq!(fault_bits, 0);
         prop_assert_eq!(words, data);
+        prop_assert_eq!(memory.counts().reads, data.len());
     }
 
     /// Snapshot corruption flips approximately n_words * 8 * p bits.

@@ -62,11 +62,28 @@ fn build_pair(
     )
 }
 
-/// One word through the row reader: `(value, mask)`.
+/// Words `start..start + len` through the three production read calls
+/// (observe, sample, bill): `(values, masks, fault bits)`.
+fn read_span(
+    memory: &ShardedMemory,
+    start: usize,
+    len: usize,
+    rng: &mut StdRng,
+) -> (Vec<u8>, Vec<u8>, u64) {
+    let (mut values, mut masks) = (Vec::new(), vec![0u8; len]);
+    memory.observe_range(start, len, &mut values);
+    let fault_bits = memory.sample_read_masks(start, [(0, len)], rng, &mut masks);
+    memory.charge_reads(start, len, 1);
+    for (value, mask) in values.iter_mut().zip(&masks) {
+        *value ^= mask;
+    }
+    (values, masks, fault_bits)
+}
+
+/// One word through [`read_span`]: `(value, mask)`.
 fn read_word(memory: &ShardedMemory, index: usize, rng: &mut StdRng) -> (u8, u8) {
-    let (mut words, mut masks) = (Vec::new(), Vec::new());
-    memory.read_row_shared(index, 1, rng, &mut words, &mut masks);
-    (words[0], masks[0])
+    let (values, masks, _) = read_span(memory, index, 1, rng);
+    (values[0], masks[0])
 }
 
 proptest! {
@@ -152,7 +169,7 @@ proptest! {
         prop_assert_eq!(sharded.counts(), mono.counts());
     }
 
-    /// A row read over an arbitrary `(start, len)` span — straddling any
+    /// One span read over an arbitrary `(start, len)` span — straddling any
     /// number of bank and shard boundaries — is byte-for-byte the stream
     /// of `len` scalar `read_shared` calls on both stores: same values,
     /// same masks, same fault-bit total, same counters, and the caller's
@@ -187,11 +204,9 @@ proptest! {
             scalar_bits += u64::from(mask.count_ones());
         }
 
-        // Row read on the sharded store, same RNG seed.
+        // One span read on the sharded store, same RNG seed.
         let mut rng_row = StdRng::seed_from_u64(rng_seed);
-        let mut words = Vec::new();
-        let mut masks = Vec::new();
-        let fault_bits = sharded.read_row_shared(start, len, &mut rng_row, &mut words, &mut masks);
+        let (words, masks, fault_bits) = read_span(&sharded, start, len, &mut rng_row);
         prop_assert_eq!(words, scalar_words);
         prop_assert_eq!(masks, scalar_masks);
         prop_assert_eq!(fault_bits, scalar_bits);
